@@ -1,13 +1,14 @@
 """Shared infrastructure for the experiment benchmarks.
 
-Every benchmark regenerates one paper artifact (see DESIGN.md §3).  The
-trained ChatFuzz model is expensive, so it is built once per session and
-cached on disk under ``.bench_cache/`` — delete the directory to retrain.
+Every benchmark regenerates one paper artifact (PAPER.md has the paper's
+abstract).  The trained ChatFuzz model is expensive, so it is built once per
+session and cached on disk under ``.bench_cache/`` — delete the directory to
+retrain.
 
 Scaling: campaigns default to a few hundred tests (laptop-scale); set
 ``CHATFUZZ_BENCH_SCALE`` (float ≥ 1) to run longer campaigns approaching
 paper scale.  Result tables are printed *and* appended to
-``bench_results.txt`` in the repository root, which EXPERIMENTS.md references.
+``bench_results.txt`` in the repository root.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.ml.lm_training import LMTrainConfig, LMTrainer
 from repro.ml.pipeline import LLMInputGenerator, PipelineConfig, ChatFuzzPipeline
 from repro.ml.tokenizer import HalfwordTokenizer
 from repro.ml.transformer import GPT2Config, GPT2LMModel
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CACHE_DIR = REPO_ROOT / ".bench_cache"
@@ -184,7 +185,7 @@ def _train_and_cache() -> TrainedChatFuzz:
     pipeline = ChatFuzzPipeline(BENCH_PIPELINE_CONFIG)
     pipeline.run_step1()
     pipeline.run_step2()
-    pipeline.run_step3(make_rocket_harness())
+    pipeline.run_step3(make_harness("rocket"))
     pipeline.model.save(model_path)
     pipeline.tokenizer.save(tokenizer_path)
     pipeline.corpus.save(corpus_path)

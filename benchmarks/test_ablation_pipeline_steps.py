@@ -1,4 +1,4 @@
-"""A-NOCLEAN / A-NOCOV — ablating pipeline steps (DESIGN.md §3).
+"""A-NOCLEAN / A-NOCOV — ablating pipeline steps.
 
 The paper motivates step 2 ("helps avoid unnecessary CPU simulation of
 bad/malformed data") and step 3 (coverage-directed exploration) but does not
@@ -17,7 +17,7 @@ from repro.ml.lm_training import LMTrainConfig
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
 from repro.ml.rewards import DisassemblerReward
 from repro.ml.transformer import GPT2Config
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 CONFIG = PipelineConfig(
     corpus_functions=150,
@@ -36,7 +36,7 @@ def _measure(pipeline, n_tests, seed):
     bodies = pipeline.make_generator(seed=seed).generate_batch(16)
     validity = float(np.mean([reward.validity_rate(b) for b in bodies]))
     loop = FuzzLoop(pipeline.make_generator(seed=seed + 1),
-                    make_rocket_harness(), batch_size=20)
+                    make_harness("rocket"), batch_size=20)
     result = Campaign(loop, "ablation").run_tests(n_tests)
     return validity, result.final_coverage_percent
 
@@ -49,7 +49,7 @@ def _run(n_tests):
         if variant != "no-cleanup":
             pipeline.run_step2()
         if variant != "no-coverage-rl":
-            pipeline.run_step3(make_rocket_harness())
+            pipeline.run_step3(make_harness("rocket"))
         outcomes[variant] = _measure(pipeline, n_tests, seed=71)
     return outcomes
 

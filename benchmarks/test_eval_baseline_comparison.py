@@ -14,13 +14,13 @@ from repro.baselines.random_regression import RandomRegressionGenerator
 from repro.baselines.thehuzz import TheHuzzGenerator
 from repro.fuzzing.campaign import Campaign
 from repro.fuzzing.chatfuzz import FuzzLoop
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 
 def _race(target, max_tests):
     outcomes = {}
     for name in ("TheHuzz", "DifuzzRTL", "random"):
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         if name == "TheHuzz":
             generator = TheHuzzGenerator(body_instructions=24, seed=37)
         elif name == "DifuzzRTL":

@@ -10,11 +10,11 @@ from benchmarks.conftest import emit, scaled
 from repro.analysis.report import format_table
 from repro.fuzzing.campaign import Campaign
 from repro.fuzzing.chatfuzz import FuzzLoop
-from repro.soc.harness import make_boom_harness
+from repro.soc.harness import make_harness
 
 
 def _run(chatfuzz, n_tests):
-    loop = FuzzLoop(chatfuzz.generator(seed=131), make_boom_harness(),
+    loop = FuzzLoop(chatfuzz.generator(seed=131), make_harness("boom"),
                     batch_size=20)
     return Campaign(loop, "chatfuzz-boom").run_tests(n_tests)
 

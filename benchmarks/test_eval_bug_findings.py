@@ -13,11 +13,11 @@ from repro.analysis.bugs import KNOWN_BUGS, classify_mismatches
 from repro.analysis.report import format_table
 from repro.fuzzing.campaign import Campaign
 from repro.fuzzing.chatfuzz import FuzzLoop
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 
 def _run(chatfuzz, n_tests):
-    loop = FuzzLoop(chatfuzz.generator(seed=151), make_rocket_harness(),
+    loop = FuzzLoop(chatfuzz.generator(seed=151), make_harness("rocket"),
                     batch_size=20)
     Campaign(loop, "bughunt").run_tests(n_tests)
     return classify_mismatches(loop.detector.unique.values())

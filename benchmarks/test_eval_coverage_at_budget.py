@@ -16,7 +16,7 @@ from repro.analysis.report import format_table
 from repro.baselines.thehuzz import TheHuzzGenerator
 from repro.fuzzing.campaign import Campaign
 from repro.fuzzing.chatfuzz import FuzzLoop
-from repro.soc.harness import rocket_harness_factory
+from repro.soc.harness import harness_factory
 
 PAPER = {
     "short": {"ChatFuzz": 74.96, "TheHuzz": 67.4, "tests": 1800},
@@ -32,7 +32,7 @@ def _run(chatfuzz, budget_short, budget_long):
     ]:
         # CHATFUZZ_BENCH_WORKERS shards simulation over a worker pool;
         # curves are identical to serial either way (executor parity).
-        loop = FuzzLoop(generator, rocket_harness_factory(), batch_size=20,
+        loop = FuzzLoop(generator, harness_factory("rocket"), batch_size=20,
                         executor=bench_executor())
         with Campaign(loop, name) as campaign:
             result = campaign.run_tests(budget_long)

@@ -12,11 +12,11 @@ from repro.analysis.report import format_table
 from repro.baselines.thehuzz import TheHuzzGenerator
 from repro.fuzzing.campaign import Campaign
 from repro.fuzzing.chatfuzz import FuzzLoop
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 
 def _time_to(generator, target, max_tests):
-    loop = FuzzLoop(generator, make_rocket_harness(), batch_size=20)
+    loop = FuzzLoop(generator, make_harness("rocket"), batch_size=20)
     result = Campaign(loop, "ttc").run_to_coverage(target, max_tests=max_tests)
     reached = result.final_coverage_percent >= target
     return result.time_to_coverage(target), reached, result

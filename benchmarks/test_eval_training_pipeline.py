@@ -17,7 +17,7 @@ from repro.ml.lm_training import LMTrainConfig
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
 from repro.ml.rewards import DisassemblerReward
 from repro.ml.transformer import GPT2Config
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 
 def _validity(pipeline, seed):
@@ -41,7 +41,7 @@ def _run():
     validity_after_1 = _validity(pipeline, seed=61)
     step2 = pipeline.run_step2()
     validity_after_2 = _validity(pipeline, seed=61)
-    step3 = pipeline.run_step3(make_rocket_harness())
+    step3 = pipeline.run_step3(make_harness("rocket"))
     return pipeline, lm_result, step2, step3, validity_after_1, validity_after_2
 
 

@@ -36,7 +36,7 @@ from repro.obs.events import NULL_SINK
 from repro.obs.store import ResultsStore
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
 from repro.ml.transformer import GPT2Config
-from repro.soc.harness import make_rocket_harness, rocket_harness_factory
+from repro.soc.harness import harness_factory, make_harness
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--workers", type=int, default=0, metavar="N",
@@ -72,7 +72,7 @@ pipeline = ChatFuzzPipeline(PipelineConfig(
     step2_steps=5, step3_steps=3, ppo_batch_size=12,
     response_instructions=20,
 ))
-pipeline.run_all(make_rocket_harness())
+pipeline.run_all(make_harness("rocket"))
 
 mode = f"{args.workers} workers" if args.workers > 1 else "serial"
 if args.golden_lanes > 0:
@@ -88,8 +88,8 @@ for name, generator in [
 ]:
     executor = (ShardedExecutor(n_workers=args.workers)
                 if args.workers > 1 else None)
-    factory = rocket_harness_factory(golden_lanes=args.golden_lanes,
-                                     dut_lanes=args.dut_lanes)
+    factory = harness_factory("rocket", golden_lanes=args.golden_lanes,
+                              dut_lanes=args.dut_lanes)
     loop = FuzzLoop(generator, factory, batch_size=20,
                     executor=executor, sink=sink)
     with Campaign(loop, name) as campaign:

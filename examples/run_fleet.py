@@ -69,7 +69,7 @@ from repro.obs.store import ResultsStore
 from repro.ml.lm_training import LMTrainConfig
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
 from repro.ml.transformer import GPT2Config
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 parser = argparse.ArgumentParser(
     description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -85,16 +85,18 @@ parser.add_argument("--scheduler", choices=("none", "roundrobin", "bandit"),
 parser.add_argument("--mode", choices=("rounds", "streaming"),
                     default="rounds",
                     help="scheduled dispatch (needs --scheduler "
-                         "roundrobin|bandit): 'rounds' synchronises slices "
-                         "at round barriers and is bit-for-bit reproducible "
-                         "run to run; 'streaming' dispatches a new slice "
-                         "the moment a worker frees up, so workers never "
-                         "idle — each campaign's own trajectory stays "
-                         "deterministic, but the slice interleaving (and "
-                         "therefore the bandit's allocation under shared "
-                         "caps) varies run to run on a worker pool.  With "
-                         "--scheduler none, fleet.run() already streams "
-                         "per-campaign checkpoints as arms finish")
+                         "roundrobin|bandit); both modes are the same slice "
+                         "loop and differ only in the round barrier: "
+                         "'rounds' waits for each pick set to finish and is "
+                         "bit-for-bit reproducible run to run; 'streaming' "
+                         "dispatches a new slice the moment a worker frees "
+                         "up, so workers never idle — each campaign's own "
+                         "trajectory stays deterministic, but the slice "
+                         "interleaving (and therefore the bandit's "
+                         "allocation under shared caps) varies run to run "
+                         "on a worker pool.  Ignored with --scheduler none: "
+                         "fleet.run() gives every arm one whole-budget "
+                         "slice and checkpoints each arm as it finishes")
 parser.add_argument("--slice", type=int, default=40, metavar="N",
                     dest="slice_tests", help="tests per scheduler slice")
 parser.add_argument("--checkpoint", metavar="DIR", default=None,
@@ -195,7 +197,7 @@ if not args.no_chatfuzz:
             step2_steps=5, step3_steps=3, ppo_batch_size=12,
             response_instructions=20,
         ))
-        pipeline.run_all(make_rocket_harness())
+        pipeline.run_all(make_harness("rocket"))
         generators = [pipeline.make_generator(seed=11 + k)
                       for k in range(args.seeds)]
         if cache is not None:

@@ -53,7 +53,7 @@ class Corpus:
         return sum(len(entry) for entry in self.entries)
 
     def mnemonic_histogram(self) -> dict[str, int]:
-        """Instruction-frequency profile (used by tests and EXPERIMENTS.md)."""
+        """Instruction-frequency profile (used by tests)."""
         histogram: dict[str, int] = {}
         for entry in self.entries:
             for word in entry:

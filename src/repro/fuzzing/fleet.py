@@ -20,11 +20,13 @@ experiment engine:
   :class:`~repro.fuzzing.scheduler.BudgetScheduler` (round-robin baseline
   or MABFuzz-style UCB1 bandit rewarded by new fleet-union coverage), in
   one of two dispatch modes: ``"rounds"`` (barrier-synchronised, fully
-  deterministic) or ``"streaming"`` (futures-based — each slice is folded
-  into the fleet union, fed to the scheduler and replaced by the next
-  dispatch the moment it completes, so workers never idle at a round
-  barrier; see the determinism contract on :meth:`FleetRunner.
-  run_scheduled`).
+  deterministic) or ``"streaming"`` (each slice is folded into the fleet
+  union, fed to the scheduler and replaced by the next dispatch the
+  moment it completes, so workers never idle at a round barrier; see the
+  determinism contract on :meth:`FleetRunner.run_scheduled`).  Both
+  modes and the whole-budget :meth:`FleetRunner.run` are front ends of
+  one slice loop (:meth:`FleetRunner._dispatch`) that differ only in the
+  slice source and the round barrier.
 - checkpoint/resume — with ``checkpoint_dir`` set, per-campaign state is
   snapshotted as JSON (scalars + curve) + ``.cov`` bitmap + ``.pkl``
   (generator/detector) incrementally, as each slice completes (round mode
@@ -62,6 +64,7 @@ import json
 import os
 import pickle
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -419,6 +422,18 @@ class FleetResult:
             return 0.0
         return 100.0 * len(self.union_coverage()) / universe
 
+    def union_percents(self) -> dict[int, float]:
+        """Union coverage percent per DUT universe, keyed by its arm count
+        (a Rocket + BOOM fleet has one union per core kind)."""
+        unions: dict[int, int] = {}
+        for campaign in self.campaigns:
+            if campaign.total_arms:
+                unions[campaign.total_arms] = (
+                    unions.get(campaign.total_arms, 0)
+                    | campaign.final_coverage.to_int())
+        return {universe: 100.0 * bits.bit_count() / universe
+                for universe, bits in sorted(unions.items())}
+
     def merged_curve(self) -> list[CurvePoint]:
         """The fleet's coverage trajectory on a shared sim-hours epoch.
 
@@ -465,11 +480,17 @@ class FleetResult:
         return {m.signature for c in self.campaigns for m in c.mismatches}
 
     def summary(self) -> str:
+        percents = self.union_percents()
+        union = (
+            ", ".join(f"{percent:.2f}% of {universe} arms"
+                      for universe, percent in percents.items())
+            if len(percents) > 1 else f"{self.union_percent:.2f}%"
+        )
         lines = [
             f"fleet: {len(self.campaigns)} campaigns, "
             f"{self.total_tests} tests, "
             f"{self.total_sim_hours:.2f} sim-hours, "
-            f"union coverage {self.union_percent:.2f}%, "
+            f"union coverage {union}, "
             f"{len(self.unique_signatures)} deduped unique mismatches",
         ]
         lines += [f"  {campaign.summary()}" for campaign in self.campaigns]
@@ -964,26 +985,15 @@ class FleetRunner:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- dispatch --------------------------------------------------------------
-
-    def _begin_stats(self, mode: str, concurrency: int,
-                     health: FleetHealth) -> FleetStats:
-        slots = (1 if self.n_workers == 0
-                 else max(1, min(self.n_workers, concurrency)))
-        self.last_stats = FleetStats(mode=mode, n_workers=self.n_workers,
-                                     worker_slots=slots, health=health)
-        return self.last_stats
-
-    def _run_local_slice(self, index: int, n_tests: int, state: dict | None,
-                         fault: FaultPoint | None = None):
-        """Run one slice in-process on the cached local campaign shell."""
-        campaign = _get_campaign(
-            self.specs, self._local_campaigns, index, fresh=state is None
-        )
-        return _run_slice(campaign, n_tests, state, fault,
-                          collect=self.sink.enabled)
-
     # -- telemetry -------------------------------------------------------------
+
+    def _emit_dispatched(self, task: _SliceTask) -> None:
+        if self.sink.enabled:
+            self.sink.emit(
+                "slice_dispatched", arm=task.arm,
+                name=self.specs[task.arm].name, ordinal=task.ordinal,
+                attempt=task.attempt, n_tests=task.n_tests,
+            )
 
     def _emit_completion(self, arm: int, output, ran: int) -> None:
         """Re-emit a finished slice's relayed events, then announce the
@@ -1024,9 +1034,9 @@ class FleetRunner:
 
         Only ``Exception``s are retryable — ``KeyboardInterrupt``,
         ``SystemExit`` and other ``BaseException``s (an operator kill)
-        abort the fleet with checkpoints intact.  ``on_quarantine`` (may
-        be None) lets each dispatch loop release its own bookkeeping for
-        the removed arm and persist the decision immediately.
+        abort the fleet with checkpoints intact.  ``on_quarantine`` lets
+        the entry point release its bookkeeping for the removed arm and
+        persist the decision immediately.
         """
         if not isinstance(exc, Exception):
             raise exc
@@ -1066,51 +1076,48 @@ class FleetRunner:
                 error=record.error, retries=record.retries,
                 tests_run=record.tests_run,
             )
-        if on_quarantine is not None:
-            on_quarantine(task)
+        on_quarantine(task)
         return None
 
-    def _run_task_local(self, task: _SliceTask, health: FleetHealth,
-                        on_quarantine):
-        """In-process execution with retry: ``(task, output)``, or None
-        when the arm was quarantined.
+    def _run_local(self, queue: deque[_SliceTask], health: FleetHealth,
+                   on_quarantine) -> list[tuple[_SliceTask, tuple]]:
+        """In-process backend: run the slice at the head of ``queue`` once.
 
-        The timeout is enforced post-hoc on the slice's busy seconds (an
-        in-process slice cannot be interrupted).  Because in-process state
-        dicts share live objects with the parent's ``states`` map, any
-        attempt that might be discarded and retried (a scheduled fault, or
-        any run under a timeout) works on a defensive deep copy, keeping
-        the retry's input state pristine.
+        The in-process counterpart of :meth:`_pump`: ``[(task, output)]``
+        on success, ``[]`` when the attempt failed — its retry goes back to
+        the head of the queue (so it runs before any later pick), or the
+        arm was quarantined.  The timeout is enforced post-hoc on the
+        slice's busy seconds (an in-process slice cannot be interrupted).
+        Because in-process state dicts share live objects with the
+        parent's ``states`` map, any attempt that might be discarded and
+        retried (a scheduled fault, or any run under a timeout) works on a
+        defensive deep copy, keeping the retry's input state pristine.
         """
-        while True:
-            fault = self._fault_for(task)
-            if self.sink.enabled:
-                self.sink.emit(
-                    "slice_dispatched", arm=task.arm,
-                    name=self.specs[task.arm].name, ordinal=task.ordinal,
-                    attempt=task.attempt, n_tests=task.n_tests,
+        task = queue.popleft()
+        fault = self._fault_for(task)
+        self._emit_dispatched(task)
+        state = task.state
+        if state is not None and (fault is not None
+                                  or self.slice_timeout is not None):
+            state = copy.deepcopy(state)
+        try:
+            campaign = _get_campaign(self.specs, self._local_campaigns,
+                                     task.arm, fresh=state is None)
+            output = _run_slice(campaign, task.n_tests, state, fault,
+                                collect=self.sink.enabled)
+            if (self.slice_timeout is not None
+                    and output[2] > self.slice_timeout):
+                raise SliceTimeout(
+                    f"arm {task.arm} slice {task.ordinal} busy for "
+                    f"{output[2]:.3f}s > slice_timeout={self.slice_timeout}s"
                 )
-            state = task.state
-            if state is not None and (fault is not None
-                                      or self.slice_timeout is not None):
-                state = copy.deepcopy(state)
-            try:
-                output = self._run_local_slice(task.arm, task.n_tests,
-                                               state, fault)
-                if (self.slice_timeout is not None
-                        and output[2] > self.slice_timeout):
-                    raise SliceTimeout(
-                        f"arm {task.arm} slice {task.ordinal} busy for "
-                        f"{output[2]:.3f}s > slice_timeout="
-                        f"{self.slice_timeout}s"
-                    )
-                return task, output
-            except BaseException as exc:
-                retry = self._retry_or_quarantine(task, exc, health,
-                                                  on_quarantine)
-                if retry is None:
-                    return None
-                task = retry
+        except BaseException as exc:
+            retry = self._retry_or_quarantine(task, exc, health,
+                                              on_quarantine)
+            if retry is not None:
+                queue.appendleft(retry)
+            return []
+        return [(task, output)]
 
     def _submit_task(self, inflight: dict[Future, _SliceTask],
                      task: _SliceTask, health: FleetHealth) -> None:
@@ -1121,12 +1128,7 @@ class FleetRunner:
             task.deadline = time.monotonic() + self.slice_timeout
         fault = self._fault_for(task)
         collect = self.sink.enabled
-        if collect:
-            self.sink.emit(
-                "slice_dispatched", arm=task.arm,
-                name=self.specs[task.arm].name, ordinal=task.ordinal,
-                attempt=task.attempt, n_tests=task.n_tests,
-            )
+        self._emit_dispatched(task)
         try:
             future = self._ensure_pool().submit(
                 _fleet_slice, task.arm, task.n_tests, task.state, fault,
@@ -1224,34 +1226,67 @@ class FleetRunner:
             self._submit_task(inflight, task, health)
         return completed
 
-    def _execute_barrier(self, tasks: list[_SliceTask], health: FleetHealth,
-                         on_quarantine) -> dict[int, tuple]:
-        """Run every task to completion (with retry/healing/quarantine):
-        ``{arm: output}`` — quarantined arms are simply absent.  The round
-        mode's primitive; the streaming loop drives :meth:`_pump` itself.
+    def _dispatch(self, next_task: Callable[[], _SliceTask | None],
+                  fold: Callable[[list], None], concurrency: int,
+                  barrier: bool, health: FleetHealth, on_quarantine) -> None:
+        """The slice loop behind every entry point.
+
+        Free slots are filled from ``next_task()`` (None: nothing to
+        dispatch right now) and finished slices go to ``fold`` as lists of
+        ``(task, output)`` pairs.  Without ``barrier`` each completion is
+        folded the moment it arrives (simultaneous pooled completions in
+        arm order).  With ``barrier`` the loop picks up to ``concurrency``
+        slices, waits until the whole pick set has finished, and folds it
+        as one list in pick order — quarantined picks are simply absent,
+        so a round may fold nothing — before picking the next set.
+
+        Slices run on one of two backends that share the retry, timeout
+        and quarantine policy of :meth:`_retry_or_quarantine`: the process
+        pool (:meth:`_submit_task` / :meth:`_pump`) or, with
+        ``n_workers=0``, in-process (:meth:`_run_local`).  In-process runs
+        one slice at a time: without a barrier the next slice is picked
+        only after the previous one folded (the deterministic reference
+        trajectory), while a barrier still picks its whole set up front
+        and runs it in pick order.
         """
-        if self._closed:
-            raise RuntimeError("FleetRunner is closed")
-        outputs: dict[int, tuple] = {}
-        if self.n_workers == 0:
-            for task in tasks:
-                finished = self._run_task_local(task, health, on_quarantine)
-                if finished is not None:
-                    outputs[finished[0].arm] = finished[1]
-            return outputs
-        inflight: dict[Future, _SliceTask] = {}
+        pooled = self.n_workers > 0
+        pending: dict[Future, _SliceTask] | deque[_SliceTask] = (
+            {} if pooled else deque()
+        )
+        collect = self._pump if pooled else self._run_local
+        slots = concurrency if barrier or pooled else 1
+        picks: list[int] = []  # the current pick set, in pick order
+        held: dict[int, tuple] = {}  # its finished slices, by arm
         try:
-            for task in tasks:
-                self._submit_task(inflight, task, health)
-            while inflight:
-                for task, output in self._pump(inflight, health,
-                                               on_quarantine):
-                    outputs[task.arm] = output
+            while True:
+                if not (barrier and pending):
+                    while len(pending) < slots:
+                        task = next_task()
+                        if task is None:
+                            break
+                        if pooled:
+                            self._submit_task(pending, task, health)
+                        else:
+                            pending.append(task)
+                        if barrier:
+                            picks.append(task.arm)
+                if not pending:
+                    return
+                done = collect(pending, health, on_quarantine)
+                if not barrier:
+                    for completion in done:
+                        fold([completion])
+                    continue
+                held.update((task.arm, (task, output))
+                            for task, output in done)
+                if not pending:
+                    fold([held[arm] for arm in picks if arm in held])
+                    picks, held = [], {}
         except BaseException:
-            for future in inflight:
-                future.cancel()
+            if pooled:
+                for future in pending:
+                    future.cancel()
             raise
-        return outputs
 
     # -- checkpoint plumbing ---------------------------------------------------
 
@@ -1337,93 +1372,16 @@ class FleetRunner:
         """Run every spec to its full ``budget_tests`` (one slice each).
 
         The basic sharding mode: N independent campaigns spread over the
-        pool, gathered in spec order.  Dispatch is event-driven: each
-        campaign is checkpointed the moment its slice completes (not at an
-        end-of-fleet barrier), so a kill loses only in-flight work.  With a
+        pool, gathered in spec order — the slice loop with one
+        whole-remaining-budget slice per arm, no scheduler and every arm
+        in flight at once.  Each campaign is checkpointed the moment its
+        slice completes, so a kill loses only in-flight work.  With a
         checkpoint, arms that already reached their budget are not re-run,
         and arms quarantined by a previous run stay quarantined.
         """
-        if self._closed:
-            raise RuntimeError("FleetRunner is closed")
-        started = time.perf_counter()
-        states, rounds, health = self._load_states(scheduler=None)
-        quarantined = health.quarantined_arms()
-        tasks = []
-        for index, spec in enumerate(self.specs):
-            if index in quarantined:
-                continue
-            remaining = spec.budget_tests - self._state_tests(states.get(index))
-            if remaining > 0:
-                tasks.append(_SliceTask(index, remaining, states.get(index),
-                                        ordinal=0))
-        stats = self._begin_stats("whole-budget", concurrency=len(tasks),
-                                  health=health)
-        if self.sink.enabled:
-            self.sink.emit(
-                "fleet_started", mode="whole-budget",
-                n_workers=self.n_workers, worker_slots=stats.worker_slots,
-                arms=len(self.specs),
-                resumed_tests=sum(self._state_tests(s)
-                                  for s in states.values()),
-            )
-        results: dict[int, CampaignResult] = {}
-        meta = {"rounds": rounds}
-
-        def fold(task: _SliceTask, output) -> None:
-            state, result, busy, _events = output
-            ran = result.tests_run - self._state_tests(states.get(task.arm))
-            self._emit_completion(task.arm, output, ran)
-            states[task.arm] = state
-            results[task.arm] = result
-            stats.busy_seconds += busy
-            stats.slices += 1
-            stats.tests += ran
-            meta["rounds"] += 1
-            self._save_round(states, None, meta["rounds"], dirty=[task.arm],
-                             health=health)
-
-        def on_quarantine(task: _SliceTask) -> None:
-            # The arm's last good state (if any) is already in ``states``;
-            # persist the quarantine decision itself right away.
-            self._save_round(states, None, meta["rounds"], dirty=[],
-                             health=health)
-
-        if self.n_workers == 0:
-            for task in tasks:
-                finished = self._run_task_local(task, health, on_quarantine)
-                if finished is not None:
-                    fold(*finished)
-        else:
-            inflight: dict[Future, _SliceTask] = {}
-            try:
-                for task in tasks:
-                    self._submit_task(inflight, task, health)
-                while inflight:
-                    for task, output in self._pump(inflight, health,
-                                                   on_quarantine):
-                        fold(task, output)
-            except BaseException:
-                for future in inflight:
-                    future.cancel()
-                raise
-        stats.wall_seconds = time.perf_counter() - started
-        for index, spec in enumerate(self.specs):
-            if index not in results:  # prior run, quarantined, or n=0
-                results[index] = (
-                    self._result_from_state(spec.name, states[index])
-                    if index in states else CampaignResult(name=spec.name)
-                )
-        fleet_result = FleetResult(
-            [results[i] for i in range(len(self.specs))], health=health
-        )
-        if self.sink.enabled:
-            self.sink.emit(
-                "fleet_finished", mode="whole-budget",
-                wall_seconds=stats.wall_seconds,
-                busy_seconds=stats.busy_seconds, slices=stats.slices,
-                tests=stats.tests, union_percent=fleet_result.union_percent,
-            )
-        return fleet_result
+        return self._run_fleet("whole-budget", scheduler=None,
+                               slice_tests=None, total_tests=None,
+                               target_percent=None, concurrency=None)
 
     def run_scheduled(self, scheduler: BudgetScheduler | None = None,
                       slice_tests: int = 64,
@@ -1433,30 +1391,32 @@ class FleetRunner:
                       mode: str = "rounds") -> FleetResult:
         """Allocate the budget in slices via ``scheduler`` (MABFuzz-style).
 
-        ``mode="rounds"`` (the default) is barrier-synchronised: each round
-        the scheduler picks up to ``concurrent_slices`` distinct arms
-        (default: the worker count); their slices run concurrently, then
-        the scheduler is updated in pick order with each slice's reward —
-        the arm's *new* contribution to the fleet-wide coverage union,
-        normalised by the universe size.  Rounds are deterministic for a
-        given configuration regardless of worker timing, at the cost of
-        every round waiting for its slowest slice.
+        Up to ``concurrent_slices`` slices (default: the worker count) run
+        at once, each on a distinct arm the scheduler's ``next_campaign``
+        picked, and every finished slice reports its reward — the arm's
+        *new* contribution to the fleet-wide coverage union, normalised by
+        the universe size — to ``on_slice_complete``.  The two modes are
+        the same slice loop and differ only in the round barrier:
 
-        ``mode="streaming"`` is the event-driven dispatch loop: one slice
-        per free worker slot, and each completion is immediately folded
-        into the union, reported to ``scheduler.on_slice_complete``,
-        checkpointed, and replaced by the next
-        ``scheduler.next_campaign`` dispatch — worker slots never idle at
-        a barrier.  The determinism contract: every campaign's *own*
-        trajectory stays deterministic (slices carry their state, and a
-        campaign never has two slices in flight), so with per-arm budgets
-        as the only stop condition the final per-campaign results — and
-        hence the fleet union — are bit-identical to round mode.  Only the
-        *interleaving* (scheduler observation order, and therefore the
-        allocation under shared ``total_tests`` / ``target_percent`` caps
-        on a real pool) varies run-to-run.  In-process streaming
-        (``n_workers=0``) has one slot and is fully deterministic — the
-        reference for the kill/resume equality tests.
+        - ``mode="rounds"`` (the default) picks a set of slices, waits
+          until all of them finished, folds them in pick order and writes
+          one checkpoint per round.  Deterministic for a given
+          configuration regardless of worker timing, at the cost of every
+          round waiting for its slowest slice.
+        - ``mode="streaming"`` folds each slice the moment it completes,
+          checkpoints it and refills the freed slot, so worker slots never
+          idle at a barrier.
+
+        The determinism contract: every campaign's *own* trajectory stays
+        deterministic (slices carry their state, and a campaign never has
+        two slices in flight), so with per-arm budgets as the only stop
+        condition the final per-campaign results — and hence the fleet
+        union — are bit-identical across modes.  Only the *interleaving*
+        (scheduler observation order, and therefore the allocation under
+        shared ``total_tests`` / ``target_percent`` caps on a real pool)
+        varies run-to-run.  In-process streaming (``n_workers=0``) has one
+        slot and is fully deterministic — the reference for the
+        kill/resume equality tests.
 
         Stops when every arm reached its ``budget_tests``, the fleet spent
         ``total_tests`` (checked at slice granularity — batch rounding may
@@ -1470,18 +1430,47 @@ class FleetRunner:
             raise ValueError(
                 f"mode must be 'rounds' or 'streaming', got {mode!r}"
             )
+        return self._run_fleet(
+            mode, scheduler if scheduler is not None else RoundRobin(),
+            slice_tests, total_tests, target_percent,
+            concurrency=(concurrent_slices if concurrent_slices is not None
+                         else max(1, self.n_workers)),
+        )
+
+    def _run_fleet(self, mode: str, scheduler: BudgetScheduler | None,
+                   slice_tests: int | None, total_tests: int | None,
+                   target_percent: float | None,
+                   concurrency: int | None) -> FleetResult:
+        """Shared body of the entry points: resume, the slice source and
+        fold for :meth:`_dispatch`, telemetry, and the final result.
+
+        ``scheduler=None`` picks the lowest eligible arm, ``slice_tests=None``
+        gives each slice the arm's whole remaining budget and
+        ``concurrency=None`` puts every arm with work in flight at once.
+        The round barrier is on in ``"rounds"`` mode only.
+        """
         if self._closed:
             raise RuntimeError("FleetRunner is closed")
-        scheduler = scheduler if scheduler is not None else RoundRobin()
-        scheduler.bind(len(self.specs))
-        if self.sink.enabled:
-            scheduler.attach_sink(self.sink)
+        if scheduler is not None:
+            scheduler.bind(len(self.specs))
+            if self.sink.enabled:
+                scheduler.attach_sink(self.sink)
         started = time.perf_counter()
         states, rounds, health = self._load_states(scheduler)
         quarantined = health.quarantined_arms()
-        concurrency = (concurrent_slices if concurrent_slices is not None
-                       else max(1, self.n_workers))
-        stats = self._begin_stats(mode, concurrency, health)
+
+        def remaining(arm: int) -> int:
+            return (self.specs[arm].budget_tests
+                    - self._state_tests(states.get(arm)))
+
+        if concurrency is None:
+            concurrency = sum(1 for arm in range(len(self.specs))
+                              if arm not in quarantined and remaining(arm) > 0)
+        stats = self.last_stats = FleetStats(
+            mode=mode, n_workers=self.n_workers, health=health,
+            worker_slots=(1 if self.n_workers == 0
+                          else max(1, min(self.n_workers, concurrency))),
+        )
         union_bits = 0
         universe = 0
         for state in states.values():
@@ -1489,63 +1478,96 @@ class FleetRunner:
             union_bits |= coverage.to_int()
             universe = max(universe, coverage.nbits)
         spent = sum(self._state_tests(s) for s in states.values())
-        box = {"union_bits": union_bits, "universe": universe,
-               "spent": spent, "rounds": rounds}
         if self.sink.enabled:
-            self.sink.emit(
-                "fleet_started", mode=mode, n_workers=self.n_workers,
-                worker_slots=stats.worker_slots, arms=len(self.specs),
-                scheduler=type(scheduler).__name__, resumed_tests=spent,
-            )
+            payload = {"mode": mode, "n_workers": self.n_workers,
+                       "worker_slots": stats.worker_slots,
+                       "arms": len(self.specs)}
+            if scheduler is not None:
+                payload["scheduler"] = type(scheduler).__name__
+            self.sink.emit("fleet_started", **payload, resumed_tests=spent)
+        # Arms with a slice dispatched but not yet folded, and the tests
+        # promised to them: an arm never has two slices in flight (its
+        # state travels with the slice), and the shared ``total_tests``
+        # cap is respected at dispatch time.
+        inflight: set[int] = set()
+        reserved = 0
+        ordinals: dict[int, int] = {}
 
-        def on_quarantine(task: _SliceTask) -> None:
-            quarantined.add(task.arm)
-            scheduler.on_arm_quarantined(task.arm)
-            self._save_round(states, scheduler, box["rounds"], dirty=[],
+        def next_task() -> _SliceTask | None:
+            nonlocal reserved
+            if (target_percent is not None and universe > 0
+                    and 100.0 * union_bits.bit_count() / universe
+                    >= target_percent):
+                return None
+            left = None if total_tests is None else (total_tests - spent
+                                                     - reserved)
+            if left is not None and left <= 0:
+                return None
+            eligible = [arm for arm in range(len(self.specs))
+                        if arm not in inflight and arm not in quarantined
+                        and remaining(arm) > 0]
+            if not eligible:
+                return None
+            arm = (scheduler.next_campaign(eligible) if scheduler is not None
+                   else eligible[0])
+            n_tests = remaining(arm)
+            if slice_tests is not None:
+                n_tests = min(n_tests, slice_tests)
+            if left is not None:
+                n_tests = min(n_tests, left)
+            if n_tests <= 0:
+                return None
+            inflight.add(arm)
+            reserved += n_tests
+            ordinal = ordinals.get(arm, 0)
+            ordinals[arm] = ordinal + 1
+            return _SliceTask(arm, n_tests, states.get(arm), ordinal=ordinal)
+
+        def release(task: _SliceTask) -> None:
+            nonlocal reserved
+            inflight.discard(task.arm)
+            reserved -= task.n_tests
+
+        def fold(completions: list[tuple[_SliceTask, tuple]]) -> None:
+            """Fold finished slices (union, reward, scheduler, stats), then
+            write one checkpoint covering them."""
+            nonlocal spent, union_bits, universe, rounds
+            for task, output in completions:
+                release(task)
+                state, result, busy, _events = output
+                ran = result.tests_run - self._state_tests(
+                    states.get(task.arm))
+                self._emit_completion(task.arm, output, ran)
+                spent += ran
+                states[task.arm] = state
+                bits = result.final_coverage.to_int()
+                gained = (bits & ~union_bits).bit_count()
+                union_bits |= bits
+                universe = max(universe, result.final_coverage.nbits)
+                if scheduler is not None:
+                    scheduler.on_slice_complete(
+                        task.arm, ran, gained / universe if universe else 0.0)
+                stats.busy_seconds += busy
+                stats.slices += 1
+                stats.tests += ran
+            rounds += 1
+            self._save_round(states, scheduler, rounds,
+                             dirty=[task.arm for task, _ in completions],
                              health=health)
 
-        def target_reached() -> bool:
-            return (target_percent is not None and box["universe"] > 0
-                    and 100.0 * box["union_bits"].bit_count()
-                    / box["universe"] >= target_percent)
+        def on_quarantine(task: _SliceTask) -> None:
+            # The arm's last good state (if any) is already in ``states``;
+            # persist the quarantine decision itself right away.
+            release(task)
+            quarantined.add(task.arm)
+            if scheduler is not None:
+                scheduler.on_arm_quarantined(task.arm)
+            self._save_round(states, scheduler, rounds, dirty=[],
+                             health=health)
 
-        def fold_completion(arm: int, output, event_driven: bool) -> None:
-            """Fold one finished slice: union, reward, scheduler, stats,
-            checkpoint.  Shared verbatim by both modes so their per-slice
-            bookkeeping cannot drift apart."""
-            state, result, busy, _events = output
-            ran = result.tests_run - self._state_tests(states.get(arm))
-            self._emit_completion(arm, output, ran)
-            box["spent"] += ran
-            states[arm] = state
-            bits = result.final_coverage.to_int()
-            gained = (bits & ~box["union_bits"]).bit_count()
-            box["union_bits"] |= bits
-            box["universe"] = max(box["universe"],
-                                  result.final_coverage.nbits)
-            reward = gained / box["universe"] if box["universe"] else 0.0
-            if event_driven:
-                scheduler.on_slice_complete(arm, ran, reward)
-            else:
-                scheduler.update(arm, ran, reward)
-            stats.busy_seconds += busy
-            stats.slices += 1
-            stats.tests += ran
-            if event_driven:
-                box["rounds"] += 1
-                self._save_round(states, scheduler, box["rounds"],
-                                 dirty=[arm], health=health)
-
-        if mode == "streaming":
-            self._run_streaming(scheduler, slice_tests, total_tests,
-                                concurrency, states, box, target_reached,
-                                fold_completion, health, quarantined,
-                                on_quarantine)
-        else:
-            self._run_rounds(scheduler, slice_tests, total_tests,
-                             concurrency, states, box, target_reached,
-                             fold_completion, health, quarantined,
-                             on_quarantine)
+        self._dispatch(next_task, fold, concurrency,
+                       barrier=mode == "rounds", health=health,
+                       on_quarantine=on_quarantine)
         stats.wall_seconds = time.perf_counter() - started
         fleet_result = FleetResult([
             self._result_from_state(spec.name, states[index])
@@ -1558,155 +1580,9 @@ class FleetRunner:
                 "fleet_finished", mode=mode,
                 wall_seconds=stats.wall_seconds,
                 busy_seconds=stats.busy_seconds, slices=stats.slices,
-                tests=stats.tests, union_percent=fleet_result.union_percent,
+                tests=stats.tests,
+                # Only defined over one universe (None for mixed kinds).
+                union_percent=(None if len(fleet_result.union_percents()) > 1
+                               else fleet_result.union_percent),
             )
         return fleet_result
-
-    def _run_rounds(self, scheduler, slice_tests, total_tests, concurrency,
-                    states, box, target_reached, fold_completion, health,
-                    quarantined, on_quarantine) -> None:
-        """The barrier-synchronised scheduling loop (pre-streaming
-        behaviour, bit for bit on the fault-free path: same picks, same
-        update order, same round-granular checkpoints).  A quarantined
-        pick simply contributes no output to its round — the budget it
-        reserved was never spent and frees up for the next round's picks.
-        """
-        ordinals: dict[int, int] = {}
-        while True:
-            if target_reached():
-                break
-            if total_tests is not None and box["spent"] >= total_tests:
-                break
-            available = {
-                index for index, spec in enumerate(self.specs)
-                if index not in quarantined
-                and self._state_tests(states.get(index)) < spec.budget_tests
-            }
-            if not available:
-                break
-            picks: list[tuple[int, int]] = []
-            budget_left = (None if total_tests is None
-                           else total_tests - box["spent"])
-            while available and len(picks) < concurrency:
-                if budget_left is not None and budget_left <= 0:
-                    break
-                arm = scheduler.select(sorted(available))
-                available.discard(arm)
-                spec = self.specs[arm]
-                n_tests = min(
-                    slice_tests,
-                    spec.budget_tests - self._state_tests(states.get(arm)),
-                )
-                if budget_left is not None:
-                    n_tests = min(n_tests, budget_left)
-                    budget_left -= n_tests
-                picks.append((arm, n_tests))
-            if not picks:
-                break
-            tasks = []
-            for arm, n_tests in picks:
-                ordinal = ordinals.get(arm, 0)
-                ordinals[arm] = ordinal + 1
-                tasks.append(_SliceTask(arm, n_tests, states.get(arm),
-                                        ordinal=ordinal))
-            outputs = self._execute_barrier(tasks, health, on_quarantine)
-            for arm, _ in picks:
-                if arm in outputs:
-                    fold_completion(arm, outputs[arm], event_driven=False)
-            box["rounds"] += 1
-            self._save_round(states, scheduler, box["rounds"],
-                             dirty=[arm for arm, _ in picks
-                                    if arm in outputs],
-                             health=health)
-
-    def _run_streaming(self, scheduler, slice_tests, total_tests,
-                       concurrency, states, box, target_reached,
-                       fold_completion, health, quarantined,
-                       on_quarantine) -> None:
-        """The futures-based dispatch loop (see :meth:`run_scheduled`).
-
-        ``reserved`` counts tests promised to in-flight slices so the
-        shared ``total_tests`` cap is respected at dispatch time; an arm
-        never has two slices in flight (its state travels with the slice),
-        which is what keeps per-campaign trajectories deterministic.  A
-        retried slice keeps its arm in flight (the requeue happens inside
-        :meth:`_pump`); only completion or quarantine releases the slot.
-        """
-        inflight_arms: set[int] = set()
-        reserved = 0
-        ordinals: dict[int, int] = {}
-
-        def next_task() -> _SliceTask | None:
-            if target_reached():
-                return None
-            if (total_tests is not None
-                    and box["spent"] + reserved >= total_tests):
-                return None
-            eligible = [
-                index for index, spec in enumerate(self.specs)
-                if index not in inflight_arms
-                and index not in quarantined
-                and self._state_tests(states.get(index)) < spec.budget_tests
-            ]
-            if not eligible:
-                return None
-            arm = scheduler.next_campaign(eligible)
-            n_tests = min(
-                slice_tests,
-                self.specs[arm].budget_tests
-                - self._state_tests(states.get(arm)),
-            )
-            if total_tests is not None:
-                n_tests = min(n_tests,
-                              total_tests - box["spent"] - reserved)
-            if n_tests <= 0:
-                return None
-            ordinal = ordinals.get(arm, 0)
-            ordinals[arm] = ordinal + 1
-            return _SliceTask(arm, n_tests, states.get(arm), ordinal=ordinal)
-
-        if self.n_workers == 0:
-            # One slot: dispatch -> complete -> fold, immediately.  Fully
-            # deterministic — the streaming mode's reference trajectory.
-            while True:
-                task = next_task()
-                if task is None:
-                    break
-                finished = self._run_task_local(task, health, on_quarantine)
-                if finished is None:
-                    continue  # arm quarantined; keep scheduling the rest
-                fold_completion(task.arm, finished[1], event_driven=True)
-            return
-
-        def release_and_quarantine(task: _SliceTask) -> None:
-            # The quarantined arm leaves flight: free its slot and its
-            # budget reservation before the shared bookkeeping runs.
-            nonlocal reserved
-            inflight_arms.discard(task.arm)
-            reserved -= task.n_tests
-            on_quarantine(task)
-
-        inflight: dict[Future, _SliceTask] = {}
-        try:
-            while True:
-                while len(inflight) < concurrency:
-                    task = next_task()
-                    if task is None:
-                        break
-                    inflight_arms.add(task.arm)
-                    reserved += task.n_tests
-                    self._submit_task(inflight, task, health)
-                if not inflight:
-                    break
-                # Stable fold order among simultaneous completions (the
-                # arrival *timing* still varies run-to-run — that is the
-                # documented interleaving nondeterminism).
-                for task, output in self._pump(inflight, health,
-                                               release_and_quarantine):
-                    inflight_arms.discard(task.arm)
-                    reserved -= task.n_tests
-                    fold_completion(task.arm, output, event_driven=True)
-        except BaseException:
-            for future in inflight:
-                future.cancel()
-            raise

@@ -22,15 +22,10 @@ Two policies are provided behind one small protocol:
 The protocol is *event-driven*: the fleet runner asks
 :meth:`BudgetScheduler.next_campaign` whenever a worker frees up and
 reports each finished slice through
-:meth:`BudgetScheduler.on_slice_complete` the moment it completes — no
-round barrier is implied by the interface.  The pre-streaming round-mode
-entry points (:meth:`BudgetScheduler.select` /
-:meth:`BudgetScheduler.update`) survive as thin adapters over the
-event-driven pair, so round-synchronised fleets drive the exact same
-policy state and stay bit-identical to their pre-refactor behaviour.
-Policies should override the event-driven pair; a legacy subclass that
-only overrides ``select``/``update`` keeps working in round mode but
-cannot serve a streaming fleet.
+:meth:`BudgetScheduler.on_slice_complete` — the moment it completes in
+streaming fleets, in pick order at the round barrier in round-mode
+fleets.  No round barrier is implied by the interface, so one policy
+implementation serves both modes with identical state evolution.
 
 Schedulers are deterministic (ties break to the lowest arm index) and
 checkpointable (:meth:`BudgetScheduler.state_dict`), so a resumed fleet
@@ -56,12 +51,9 @@ class BudgetScheduler:
     runner calls :meth:`next_campaign` each time a worker slot frees up
     and :meth:`on_slice_complete` as each slice finishes.  Both must be
     deterministic given the call history — fleet checkpoint/resume
-    equality depends on it.  The round-mode pair (:meth:`select` /
-    :meth:`update`) are adapters over the event-driven pair: one round of
-    barrier-synchronised picks is just N ``next_campaign`` calls whose
-    completions happen to be reported together, so one policy
-    implementation serves both fleet modes with identical state
-    evolution.
+    equality depends on it.  One round of barrier-synchronised picks is
+    just N ``next_campaign`` calls whose completions happen to be reported
+    together.
     """
 
     n_arms: int = 0
@@ -100,16 +92,6 @@ class BudgetScheduler:
         the runner already drops the arm from every future ``eligible``
         set, so policies only need this hook to rebalance internal state
         (e.g. redistribute a static split).  The arm never returns."""
-
-    # -- round-mode adapters (legacy interface) --------------------------------
-
-    def select(self, eligible: Sequence[int]) -> int:
-        """Round-mode adapter for :meth:`next_campaign`."""
-        return self.next_campaign(eligible)
-
-    def update(self, arm: int, tests: int, reward: float) -> None:
-        """Round-mode adapter for :meth:`on_slice_complete`."""
-        self.on_slice_complete(arm, tests, reward)
 
     # -- checkpointing ---------------------------------------------------------
 

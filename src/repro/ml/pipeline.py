@@ -32,7 +32,7 @@ from repro.ml.transformer import GPT2Config, GPT2LMModel
 
 @dataclass
 class PipelineConfig:
-    """End-to-end configuration; defaults are laptop-scale (see DESIGN.md)."""
+    """End-to-end configuration; defaults are laptop-scale."""
 
     # Dataset (paper: ~500K vectors from the Linux kernel; 51.2K RL samples).
     corpus_functions: int = 300

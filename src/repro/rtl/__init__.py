@@ -1,6 +1,6 @@
 """A minimal cycle-driven RTL simulation framework with condition coverage.
 
-This package replaces Synopsys VCS in the paper's stack (see DESIGN.md §1).
+This package replaces Synopsys VCS in the paper's stack.
 It provides:
 
 - :class:`~repro.rtl.coverage.ConditionCoverage` — declare-before-use

@@ -1,6 +1,6 @@
 """SoC models: the designs under test.
 
-Two processor models stand in for the paper's RTL testbeds (DESIGN.md §1):
+Two processor models stand in for the paper's RTL testbeds:
 
 - :mod:`repro.soc.rocket` — a RocketCore-like in-order RV64IMA_Zicsr pipeline
   with I$/D$, branch prediction, a store buffer and the five documented
@@ -16,6 +16,12 @@ returns ``(CommitTrace, CoverageReport)`` — the two artifacts the fuzzing
 loop consumes.
 """
 
-from repro.soc.harness import DutHarness, make_boom_harness, make_rocket_harness
+from repro.soc.harness import (
+    DutHarness,
+    HarnessFactory,
+    harness_factory,
+    make_harness,
+)
 
-__all__ = ["DutHarness", "make_boom_harness", "make_rocket_harness"]
+__all__ = ["DutHarness", "HarnessFactory", "harness_factory",
+           "make_harness"]

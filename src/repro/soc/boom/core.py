@@ -4,7 +4,7 @@ Models the microarchitectural skeleton that matters for condition coverage:
 fetch buffer, return-address stack, register renaming (free list / WAW
 remap), issue-queue and ROB occupancy, a load/store queue with
 store-to-load forwarding, plus caches and a branch predictor.  Instruction
-semantics come from the golden executor, as for Rocket (DESIGN.md §5).
+semantics come from the golden executor, as for Rocket.
 
 No bugs are injected here: the paper's bug findings are on RocketCore; BOOM
 carries the fast-saturating coverage claim (97.02% in 49 minutes).

@@ -284,18 +284,6 @@ def make_harness(kind: str = "rocket", params=None, golden_lanes: int = 0,
                       golden_lanes=golden_lanes, dut_lanes=dut_lanes)
 
 
-def make_rocket_harness(params=None, golden_lanes: int = 0,
-                        dut_lanes: int = 0) -> DutHarness:
-    """Harness around a (buggy, by default) RocketCore."""
-    return make_harness("rocket", params, golden_lanes, dut_lanes)
-
-
-def make_boom_harness(params=None, golden_lanes: int = 0,
-                      dut_lanes: int = 0) -> DutHarness:
-    """Harness around a BoomCore."""
-    return make_harness("boom", params, golden_lanes, dut_lanes)
-
-
 @dataclass(frozen=True)
 class HarnessFactory:
     """Picklable recipe for building a :class:`DutHarness`.
@@ -338,15 +326,3 @@ def harness_factory(kind: str = "rocket", params=None,
             f"dut_lanes requires a harness kind with a batch engine; "
             f"{kind!r} declares none in ENGINE_REGISTRY")
     return HarnessFactory(kind, params, golden_lanes, dut_lanes)
-
-
-def rocket_harness_factory(params=None, golden_lanes: int = 0,
-                           dut_lanes: int = 0) -> HarnessFactory:
-    """Picklable factory for :func:`make_rocket_harness`."""
-    return HarnessFactory("rocket", params, golden_lanes, dut_lanes)
-
-
-def boom_harness_factory(params=None, golden_lanes: int = 0,
-                         dut_lanes: int = 0) -> HarnessFactory:
-    """Picklable factory for :func:`make_boom_harness`."""
-    return HarnessFactory("boom", params, golden_lanes, dut_lanes)

@@ -23,7 +23,7 @@ from repro.coverage.reference import (
 from repro.coverage.scoring import CoverageScorer, ScoreWeights
 from repro.rtl.coverage import ConditionCoverage
 from repro.rtl.report import CoverageReport
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 N_CONDITIONS = 150
 
@@ -151,7 +151,7 @@ class TestRealHarnessParity:
     def test_rocket_reports_feed_both_calculators_identically(self):
         """Real DUT coverage reports: the retained set calculator scores the
         same curve as the bitset one (fixed bodies, fixed seed)."""
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         from repro.baselines.mutations import MutationEngine
 
         engine = MutationEngine(seed=5)

@@ -26,7 +26,7 @@ from repro.fuzzing.pool import ShardedExecutor, SubmittedBatch
 from repro.golden.trace import CommitTrace
 from repro.isa.encoder import encode
 from repro.rtl.report import CoverageReport
-from repro.soc.harness import make_rocket_harness, rocket_harness_factory
+from repro.soc.harness import harness_factory, make_harness
 
 #: Worker-crash style exercised by the failure-mode tests below.
 POISON_RAISE = 0xDEAD_BEEF
@@ -65,20 +65,20 @@ def exploding_factory() -> ExplodingHarness:
 
 class TestSerialExecutor:
     def test_accepts_live_harness(self):
-        executor = SerialExecutor(make_rocket_harness())
+        executor = SerialExecutor(make_harness("rocket"))
         results = executor.run_batch(_bodies(2))
         assert len(results) == 2
         assert all(isinstance(r, DifferentialResult) for r in results)
 
     def test_accepts_factory_and_builds_lazily(self):
-        executor = SerialExecutor(rocket_harness_factory())
+        executor = SerialExecutor(harness_factory("rocket"))
         assert executor._harness is None
         assert executor.total_arms > 0
         assert executor.harness is executor.harness  # built once, reused
 
     def test_matches_direct_harness_calls(self):
-        harness = make_rocket_harness()
-        results = SerialExecutor(rocket_harness_factory()).run_batch(_bodies(3))
+        harness = make_harness("rocket")
+        results = SerialExecutor(harness_factory("rocket")).run_batch(_bodies(3))
         for body, res in zip(_bodies(3), results):
             dut, gold, report = harness.run_differential(body)
             assert (res.dut_trace, res.golden_trace, res.report) == \
@@ -92,24 +92,24 @@ class TestSerialExecutor:
 class TestShardedExecutor:
     def test_rejects_live_harness(self):
         with pytest.raises(TypeError, match="factory"):
-            ShardedExecutor(make_rocket_harness())
+            ShardedExecutor(make_harness("rocket"))
         with pytest.raises(TypeError, match="factory"):
-            ShardedExecutor().bind(make_rocket_harness())
+            ShardedExecutor().bind(make_harness("rocket"))
 
     def test_total_arms_matches_serial(self):
-        factory = rocket_harness_factory()
+        factory = harness_factory("rocket")
         with ShardedExecutor(factory, n_workers=2) as executor:
             assert executor.total_arms == SerialExecutor(factory).total_arms
 
     def test_results_in_submission_order(self):
         bodies = _bodies(13)
-        serial = SerialExecutor(rocket_harness_factory()).run_batch(bodies)
-        with ShardedExecutor(rocket_harness_factory(), n_workers=4) as executor:
+        serial = SerialExecutor(harness_factory("rocket")).run_batch(bodies)
+        with ShardedExecutor(harness_factory("rocket"), n_workers=4) as executor:
             sharded = executor.run_batch(bodies)
         assert sharded == serial
 
     def test_chunking_and_worker_reuse_across_batches(self):
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2,
+        with ShardedExecutor(harness_factory("rocket"), n_workers=2,
                              chunk_size=1) as executor:
             executor.run_batch(_bodies(5))
             pool = executor._pool
@@ -120,7 +120,7 @@ class TestShardedExecutor:
             assert executor.stats.chunks == 8  # chunk_size=1 -> one per body
 
     def test_default_chunking_is_one_chunk_per_worker(self):
-        with ShardedExecutor(rocket_harness_factory(), n_workers=4) as executor:
+        with ShardedExecutor(harness_factory("rocket"), n_workers=4) as executor:
             executor.run_batch(_bodies(10))
             assert executor.stats.chunks == 4  # ceil(10/4)=3 -> 3,3,3,1
 
@@ -128,7 +128,7 @@ class TestShardedExecutor:
         # Even-split would give ceil(64/4)=16-body chunks, starving the
         # 32-lane engines; auto-sizing must widen to max(lanes, even_split).
         executor = ShardedExecutor(
-            rocket_harness_factory(golden_lanes=32, dut_lanes=8), n_workers=4)
+            harness_factory("rocket", golden_lanes=32, dut_lanes=8), n_workers=4)
         chunks = executor._chunks(_bodies(64))
         assert [len(c) for c in chunks] == [32, 32]
         # Larger batches keep the even split once it exceeds the lane width.
@@ -137,23 +137,23 @@ class TestShardedExecutor:
 
     def test_explicit_chunk_size_overrides_lane_width(self):
         executor = ShardedExecutor(
-            rocket_harness_factory(golden_lanes=32), n_workers=4,
+            harness_factory("rocket", golden_lanes=32), n_workers=4,
             chunk_size=8)
         assert [len(c) for c in executor._chunks(_bodies(32))] == [8] * 4
         executor.close()
 
     def test_laneless_factories_keep_plain_even_split(self):
-        executor = ShardedExecutor(rocket_harness_factory(), n_workers=4)
+        executor = ShardedExecutor(harness_factory("rocket"), n_workers=4)
         assert [len(c) for c in executor._chunks(_bodies(10))] == [3, 3, 3, 1]
         executor.close()
 
     def test_empty_batch(self):
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2) as executor:
+        with ShardedExecutor(harness_factory("rocket"), n_workers=2) as executor:
             assert executor.run_batch([]) == []
             assert executor.stats.batches == 0
 
     def test_close_is_idempotent_and_final(self):
-        executor = ShardedExecutor(rocket_harness_factory(), n_workers=2)
+        executor = ShardedExecutor(harness_factory("rocket"), n_workers=2)
         executor.run_batch(_bodies(2))
         executor.close()
         executor.close()
@@ -163,7 +163,7 @@ class TestShardedExecutor:
     def test_invalid_worker_count(self):
         for bad in (0, -2):
             with pytest.raises(ValueError):
-                ShardedExecutor(rocket_harness_factory(), n_workers=bad)
+                ShardedExecutor(harness_factory("rocket"), n_workers=bad)
 
 
 class TestSubmitCollectSplit:
@@ -175,32 +175,32 @@ class TestSubmitCollectSplit:
     """
 
     def test_serial_submit_defers_execution(self):
-        executor = SerialExecutor(rocket_harness_factory())
+        executor = SerialExecutor(harness_factory("rocket"))
         handle = executor.submit_batch(_bodies(3))
         assert isinstance(handle, DeferredBatch)
         assert executor._harness is None  # nothing ran at submit time
         results = executor.collect(handle)
         assert results == SerialExecutor(
-            rocket_harness_factory()).run_batch(_bodies(3))
+            harness_factory("rocket")).run_batch(_bodies(3))
 
     def test_handles_are_single_use(self):
-        executor = SerialExecutor(rocket_harness_factory())
+        executor = SerialExecutor(harness_factory("rocket"))
         handle = executor.submit_batch(_bodies(1))
         executor.collect(handle)
         with pytest.raises(RuntimeError, match="already collected"):
             executor.collect(handle)
 
     def test_foreign_handle_rejected(self):
-        executor = SerialExecutor(rocket_harness_factory())
+        executor = SerialExecutor(harness_factory("rocket"))
         with pytest.raises(TypeError, match="submit_batch"):
             executor.collect(object())
 
     def test_sharded_outstanding_handles_collect_in_any_order(self):
         first_bodies, second_bodies = _bodies(5), _bodies(5, start=100)
-        serial = SerialExecutor(rocket_harness_factory())
+        serial = SerialExecutor(harness_factory("rocket"))
         expected_first = serial.run_batch(first_bodies)
         expected_second = serial.run_batch(second_bodies)
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2) as executor:
+        with ShardedExecutor(harness_factory("rocket"), n_workers=2) as executor:
             first = executor.submit_batch(first_bodies)
             second = executor.submit_batch(second_bodies)
             assert isinstance(first, SubmittedBatch)
@@ -212,25 +212,25 @@ class TestSubmitCollectSplit:
 
     def test_sharded_run_batch_equals_submit_collect(self):
         bodies = _bodies(7)
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2) as executor:
+        with ShardedExecutor(harness_factory("rocket"), n_workers=2) as executor:
             via_split = executor.collect(executor.submit_batch(bodies))
             via_run = executor.run_batch(bodies)
         assert via_split == via_run
 
     def test_sharded_double_collect_rejected(self):
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2) as executor:
+        with ShardedExecutor(harness_factory("rocket"), n_workers=2) as executor:
             handle = executor.submit_batch(_bodies(2))
             executor.collect(handle)
             with pytest.raises(RuntimeError, match="already collected"):
                 executor.collect(handle)
 
     def test_empty_submit_collects_to_empty(self):
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2) as executor:
+        with ShardedExecutor(harness_factory("rocket"), n_workers=2) as executor:
             assert executor.collect(executor.submit_batch([])) == []
             assert executor.stats.batches == 0
 
     def test_collect_after_close_raises_not_hangs(self):
-        executor = ShardedExecutor(rocket_harness_factory(), n_workers=2)
+        executor = ShardedExecutor(harness_factory("rocket"), n_workers=2)
         handle = executor.submit_batch(_bodies(4))
         executor.close()  # cancels/drains in-flight chunks, reaps workers
         with pytest.raises(RuntimeError, match="closed"):
@@ -300,7 +300,7 @@ class TestShardedSerialParity:
     def _run(self, executor):
         loop = FuzzLoop(
             TheHuzzGenerator(body_instructions=16, seed=5),
-            rocket_harness_factory(),
+            harness_factory("rocket"),
             batch_size=self.BATCH_SIZE,
             executor=executor,
         )
@@ -327,7 +327,7 @@ class TestShardedSerialParity:
         def campaign(executor):
             loop = FuzzLoop(
                 TheHuzzGenerator(body_instructions=16, seed=9),
-                rocket_harness_factory(),
+                harness_factory("rocket"),
                 batch_size=self.BATCH_SIZE,
                 executor=executor,
             )
@@ -352,8 +352,9 @@ class TestBatchedGoldenParity:
     def test_serial_executor_routes_batched_golden(self):
         gen = TheHuzzGenerator(body_instructions=20, seed=7)
         bodies = [t.words for t in gen.generate_batch(16)]
-        with SerialExecutor(rocket_harness_factory()) as scalar_ex, \
-                SerialExecutor(rocket_harness_factory(golden_lanes=8)) as batched_ex:
+        with SerialExecutor(harness_factory("rocket")) as scalar_ex, \
+                SerialExecutor(
+                    harness_factory("rocket", golden_lanes=8)) as batched_ex:
             assert batched_ex.harness._golden_batch is not None
             scalar_results = scalar_ex.run_batch(bodies)
             batched_results = batched_ex.run_batch(bodies)
@@ -368,7 +369,7 @@ class TestBatchedGoldenParity:
         def run(golden_lanes):
             loop = FuzzLoop(
                 TheHuzzGenerator(body_instructions=16, seed=5),
-                rocket_harness_factory(golden_lanes=golden_lanes),
+                harness_factory("rocket", golden_lanes=golden_lanes),
                 batch_size=8,
             )
             with loop:
@@ -383,9 +384,9 @@ class TestBatchedGoldenParity:
     def test_sharded_chunks_ride_batched_golden(self):
         gen = TheHuzzGenerator(body_instructions=16, seed=3)
         bodies = [t.words for t in gen.generate_batch(16)]
-        with SerialExecutor(rocket_harness_factory()) as serial_ex:
+        with SerialExecutor(harness_factory("rocket")) as serial_ex:
             expected = serial_ex.run_batch(bodies)
-        with ShardedExecutor(rocket_harness_factory(golden_lanes=8),
+        with ShardedExecutor(harness_factory("rocket", golden_lanes=8),
                              n_workers=2) as sharded_ex:
             got = sharded_ex.run_batch(bodies)
         for ref, out in zip(expected, got):
@@ -401,8 +402,9 @@ class TestBatchedDutParity:
     def test_serial_executor_routes_batched_dut(self):
         gen = TheHuzzGenerator(body_instructions=20, seed=7)
         bodies = [t.words for t in gen.generate_batch(16)]
-        with SerialExecutor(rocket_harness_factory()) as scalar_ex, \
-                SerialExecutor(rocket_harness_factory(dut_lanes=8)) as batched_ex:
+        with SerialExecutor(harness_factory("rocket")) as scalar_ex, \
+                SerialExecutor(
+                    harness_factory("rocket", dut_lanes=8)) as batched_ex:
             assert batched_ex.harness._dut_batch is not None
             scalar_results = scalar_ex.run_batch(bodies)
             batched_results = batched_ex.run_batch(bodies)
@@ -418,8 +420,8 @@ class TestBatchedDutParity:
         def run(golden_lanes, dut_lanes):
             loop = FuzzLoop(
                 TheHuzzGenerator(body_instructions=16, seed=5),
-                rocket_harness_factory(golden_lanes=golden_lanes,
-                                       dut_lanes=dut_lanes),
+                harness_factory("rocket", golden_lanes=golden_lanes,
+                                dut_lanes=dut_lanes),
                 batch_size=8,
             )
             with loop:
@@ -434,10 +436,10 @@ class TestBatchedDutParity:
     def test_sharded_chunks_ride_batched_dut(self):
         gen = TheHuzzGenerator(body_instructions=16, seed=3)
         bodies = [t.words for t in gen.generate_batch(16)]
-        with SerialExecutor(rocket_harness_factory()) as serial_ex:
+        with SerialExecutor(harness_factory("rocket")) as serial_ex:
             expected = serial_ex.run_batch(bodies)
-        with ShardedExecutor(rocket_harness_factory(golden_lanes=8,
-                                                    dut_lanes=8),
+        with ShardedExecutor(harness_factory("rocket", golden_lanes=8,
+                                             dut_lanes=8),
                              n_workers=2) as sharded_ex:
             got = sharded_ex.run_batch(bodies)
         for ref, out in zip(expected, got):

@@ -32,7 +32,7 @@ from repro.fuzzing.fleet import (
 )
 from repro.fuzzing.scheduler import BanditScheduler, RoundRobin
 from repro.rtl.bitset import Bitset
-from repro.soc.harness import make_rocket_harness, rocket_harness_factory
+from repro.soc.harness import harness_factory, make_harness
 
 
 def spec_pair(budget: int = 24) -> list[CampaignSpec]:
@@ -116,7 +116,7 @@ class TestRunSlice:
     def _loop(self):
         return FuzzLoop(
             TheHuzzGenerator(body_instructions=16, seed=5),
-            rocket_harness_factory(),
+            harness_factory("rocket"),
             batch_size=8,
         )
 
@@ -212,7 +212,7 @@ class TestFleetVsSerialParity:
         with FleetRunner(specs, n_workers=0) as fleet:
             result = fleet.run()
 
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         reference = SetCumulativeCoverage(total_arms=harness.total_arms)
         for spec in specs:
             generator = spec.build_generator()

@@ -18,6 +18,10 @@ The checkpoint cadence (``rounds`` and ``dirty`` of every
 ``checkpoint_written``) and each kind's payload keys are pinned too.
 In-process dispatch is fully deterministic, so any difference here is a
 change to the observable dispatch protocol, not noise.
+
+A mixed Rocket + BOOM fleet (two coverage universes) must finish in every
+entry mode, with ``union_percent=None`` on ``fleet_finished`` and one
+union per universe in the summary.
 """
 
 from __future__ import annotations
@@ -352,3 +356,52 @@ def test_payload_keys(mode, tmp_path):
     expected = dict(PAYLOAD_KEYS, fleet_started=start_keys)
     for event in events:
         assert tuple(sorted(event.data)) == expected[event.kind], event.kind
+
+
+def mixed_kind_specs() -> list[CampaignSpec]:
+    """One Rocket arm and one BOOM arm: two coverage universes."""
+    return [
+        CampaignSpec("rocket-arm", fuzzer="thehuzz",
+                     fuzzer_config={"body_instructions": 16}, seed=5,
+                     harness="rocket", batch_size=8, budget_tests=16),
+        CampaignSpec("boom-arm", fuzzer="random",
+                     fuzzer_config={"body_instructions": 16}, seed=2,
+                     harness="boom", batch_size=8, budget_tests=16),
+    ]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mixed_kind_fleet_finishes_with_per_universe_unions(mode):
+    """A Rocket + BOOM fleet has no single union: ``fleet_finished``
+    reports ``union_percent=None`` and the summary lists one union per
+    universe, in every entry mode, instead of failing the run."""
+    sink = ListSink()
+    with FleetRunner(mixed_kind_specs(), n_workers=0, sink=sink) as fleet:
+        if mode == "whole-budget":
+            result = fleet.run()
+        else:
+            result = fleet.run_scheduled(BanditScheduler(), slice_tests=8,
+                                         mode=mode, concurrent_slices=2)
+    assert [c.tests_run for c in result.campaigns] == [16, 16]
+    rocket, boom = result.campaigns
+    assert rocket.total_arms != boom.total_arms
+    finished = [e for e in sink.events if e.kind == "fleet_finished"]
+    assert len(finished) == 1
+    assert finished[0].data["union_percent"] is None
+
+    percents = result.union_percents()
+    assert percents == {
+        c.total_arms: pytest.approx(c.final_coverage_percent)
+        for c in result.campaigns
+    }
+    summary = result.summary()
+    for universe, percent in percents.items():
+        assert f"{percent:.2f}% of {universe} arms" in summary
+    with pytest.raises(ValueError, match="different DUT universes"):
+        result.union_percent
+
+
+def test_single_universe_fleet_reports_its_union(tmp_path):
+    events = run_fleet("streaming", tmp_path)
+    finished = [e for e in events if e.kind == "fleet_finished"]
+    assert finished[0].data["union_percent"] > 0.0

@@ -22,7 +22,7 @@ from repro.baselines.random_regression import RandomRegressionGenerator
 from repro.baselines.thehuzz import TheHuzzGenerator
 from repro.fuzzing import Campaign, FuzzLoop
 from repro.fuzzing.pool import ShardedExecutor
-from repro.soc.harness import rocket_harness_factory
+from repro.soc.harness import harness_factory
 
 BATCH = 8
 
@@ -31,7 +31,7 @@ def _loop(pipeline: bool, executor=None, generator=None) -> FuzzLoop:
     return FuzzLoop(
         generator if generator is not None
         else RandomRegressionGenerator(body_instructions=8, seed=3),
-        rocket_harness_factory(),
+        harness_factory("rocket"),
         batch_size=BATCH,
         pipeline=pipeline,
         executor=executor,

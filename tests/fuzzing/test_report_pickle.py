@@ -16,7 +16,7 @@ from repro.coverage.reference import SetConditionCoverage, SetCoverageReport
 from repro.rtl.bitset import Bitset
 from repro.rtl.coverage import ConditionCoverage
 from repro.rtl.report import CoverageReport
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 
 def make_report(n_conditions=200, stride=3) -> CoverageReport:
@@ -71,7 +71,7 @@ class TestAcrossProcessPool:
     def test_real_dut_report_arm_names_stable_across_pool(self):
         """Every set bit of a pool-crossed report still resolves to the same
         declared arm name on the parent's coverage database."""
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         _, report = harness.run_dut([0x00000013] * 4)  # nops
         with ProcessPoolExecutor(max_workers=1) as pool:
             returned = pool.submit(_identity, report).result()

@@ -9,7 +9,7 @@ from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig, PromptSampler
 from repro.ml.rewards import DisassemblerReward
 from repro.ml.tokenizer import HalfwordTokenizer
 from repro.ml.transformer import GPT2Config, GPT2LMModel
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 TINY_MODEL = GPT2Config(dim=16, n_layers=1, n_heads=2, max_seq=48)
 
@@ -87,7 +87,7 @@ class TestPipeline:
                 == tiny_pipeline.tokenizer.vocab_size)
 
     def test_all_three_steps_run(self, tiny_pipeline):
-        result = tiny_pipeline.run_all(make_rocket_harness())
+        result = tiny_pipeline.run_all(make_harness("rocket"))
         assert result.lm_result is not None
         assert len(result.step2_history.steps) == 2
         assert len(result.step3_history.steps) == 1

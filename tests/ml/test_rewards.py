@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa.encoder import encode
 from repro.ml.rewards import CoverageReward, DisassemblerReward
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 NOP = encode("addi", rd=0, rs1=0, imm=0)
 
@@ -47,7 +47,7 @@ class TestDisassemblerReward:
 
 class TestCoverageReward:
     def test_reward_positive_for_first_input(self):
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         reward = CoverageReward(harness)
         reward.begin_batch()
         value = reward([encode("mul", rd=5, rs1=10, rs2=11)])
@@ -55,7 +55,7 @@ class TestCoverageReward:
         assert reward.total_percent > 0
 
     def test_stagnation_scores_below_discovery(self):
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         reward = CoverageReward(harness)
         body = [encode("addi", rd=5, rs1=0, imm=1)]
         reward.begin_batch()
@@ -65,7 +65,7 @@ class TestCoverageReward:
         assert second < first
 
     def test_history_tracks_campaign_total(self):
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         reward = CoverageReward(harness)
         reward.begin_batch()
         reward([NOP])

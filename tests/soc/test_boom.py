@@ -6,12 +6,12 @@ from repro.baselines.mutations import MutationEngine
 from repro.dataset.corpus import Corpus
 from repro.fuzzing.mismatch import compare_traces
 from repro.soc.boom import BoomCore, BoomParams
-from repro.soc.harness import DutHarness, make_boom_harness
+from repro.soc.harness import DutHarness, make_harness
 
 
 @pytest.fixture(scope="module")
 def harness():
-    return make_boom_harness()
+    return make_harness("boom")
 
 
 class TestEquivalence:
@@ -86,7 +86,7 @@ class TestTiming:
     def test_superscalar_faster_than_rocket_on_warm_loop(self):
         from repro.isa.assembler import Assembler
         from repro.isa.spec import DRAM_BASE
-        from repro.soc.harness import make_rocket_harness
+        from repro.soc.harness import make_harness
 
         # A hot loop of independent ALU ops: once the I$ is warm, the
         # 2-wide BOOM retires roughly twice per cycle.
@@ -100,8 +100,8 @@ class TestTiming:
             addi a0, a0, -1
             bnez a0, loop
         """)
-        boom = make_boom_harness()
-        rocket = make_rocket_harness()
+        boom = make_harness("boom")
+        rocket = make_harness("rocket")
         _, boom_report = boom.run_dut(body)
         _, rocket_report = rocket.run_dut(body)
         assert boom_report.cycles < rocket_report.cycles

@@ -9,8 +9,7 @@ from repro.isa.spec import DATA_BASE, DRAM_BASE
 from repro.soc.harness import (
     TERMINATOR,
     build_program,
-    make_boom_harness,
-    make_rocket_harness,
+    make_harness,
     preamble_words,
 )
 
@@ -100,7 +99,7 @@ class TestPreambleEffects:
 
 class TestDifferentialRun:
     def test_returns_trace_trace_report(self):
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         dut, gold, report = harness.run_differential(
             [encode("addi", rd=10, rs1=0, imm=5)]
         )
@@ -110,7 +109,7 @@ class TestDifferentialRun:
         assert report.cycles > 0
 
     def test_coverage_resets_between_tests(self):
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         _, first = harness.run_dut([encode("mul", rd=5, rs1=10, rs2=11)])
         _, second = harness.run_dut([encode("addi", rd=5, rs1=0, imm=1)])
         muldiv_arm = None
@@ -125,26 +124,28 @@ class TestBatchedLanes:
     BODIES = [[encode("addi", rd=10, rs1=0, imm=i)] for i in range(8)]
 
     def test_dut_lanes_batch_matches_scalar(self):
-        scalar = make_rocket_harness().run_differential_batch(self.BODIES)
-        lanes = make_rocket_harness(
-            golden_lanes=4, dut_lanes=4).run_differential_batch(self.BODIES)
+        scalar = make_harness("rocket").run_differential_batch(self.BODIES)
+        lanes = make_harness(
+            "rocket", golden_lanes=4,
+            dut_lanes=4).run_differential_batch(self.BODIES)
         for (dt0, gt0, r0), (dt1, gt1, r1) in zip(scalar, lanes):
             assert dt1.entries == dt0.entries
             assert gt1.entries == gt0.entries
             assert r1.hits == r0.hits and r1.cycles == r0.cycles
 
     def test_run_dut_batch_matches_run_dut(self):
-        harness = make_rocket_harness(dut_lanes=4)
+        harness = make_harness("rocket", dut_lanes=4)
         batch = harness.run_dut_batch(self.BODIES)
         for body, (trace, report) in zip(self.BODIES, batch):
-            ref_trace, ref_report = make_rocket_harness().run_dut(body)
+            ref_trace, ref_report = make_harness("rocket").run_dut(body)
             assert trace.entries == ref_trace.entries
             assert report.hits == ref_report.hits
 
     def test_boom_dut_lanes_batch_matches_scalar(self):
-        scalar = make_boom_harness().run_differential_batch(self.BODIES)
-        lanes = make_boom_harness(
-            golden_lanes=4, dut_lanes=4).run_differential_batch(self.BODIES)
+        scalar = make_harness("boom").run_differential_batch(self.BODIES)
+        lanes = make_harness(
+            "boom", golden_lanes=4,
+            dut_lanes=4).run_differential_batch(self.BODIES)
         for (dt0, gt0, r0), (dt1, gt1, r1) in zip(scalar, lanes):
             assert dt1.entries == dt0.entries
             assert gt1.entries == gt0.entries

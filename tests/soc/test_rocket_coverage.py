@@ -1,17 +1,17 @@
 """Targeted stimulus -> condition mapping for the Rocket model's deep
 coverage points: each entangled idiom must light up exactly the conditions
-it was designed around (DESIGN.md §5)."""
+it was designed around."""
 
 import pytest
 
 from repro.isa.assembler import Assembler
 from repro.isa.spec import DRAM_BASE
-from repro.soc.harness import make_rocket_harness, preamble_words
+from repro.soc.harness import make_harness, preamble_words
 
 
 @pytest.fixture()
 def harness():
-    return make_rocket_harness()
+    return make_harness("rocket")
 
 
 def arm_names(harness, body_text):
