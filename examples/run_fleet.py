@@ -36,10 +36,11 @@ Useful shapes:
   raise,hang,die`` for hung slices and worker deaths) to watch the fleet
   retry, recycle its pool and quarantine — the run should still complete
   and, fault kinds permitting, match the fault-free result bit-for-bit.
-- ``--harness boom --golden-lanes 8 --dut-lanes 8`` points every arm at
-  the BOOM model on the batched engines (any kind in the engine registry
-  with a batch engine works; lane widths are pure perf knobs — results
-  are bit-identical to scalar at every width).
+- ``--harness boom --golden-lanes 8`` points every arm at the BOOM model
+  with the batched golden engine (lane widths are pure perf knobs —
+  results are bit-identical to scalar at every width).  ``--dut-lanes``
+  needs a kind with a batch DUT engine in the registry (Rocket); BOOM
+  rejects it loudly.
 - ``--store results/`` streams structured telemetry into a durable
   results store (events + coverage bitmaps; survives kills, appends
   across resumes — combine with ``--checkpoint`` for resumable runs with

@@ -46,12 +46,16 @@ def store_report(aggregates) -> str:
     from repro.fuzzing.mismatch import Mismatch
 
     agg = aggregates.as_dict() if hasattr(aggregates, "as_dict") else aggregates
+    if agg["union_percent"] is None:  # one union per DUT universe
+        union = ", ".join(f"{percent:.2f}% of {universe}"
+                          for universe, percent in agg["union_percents"].items())
+    else:
+        union = f"{agg['union_percent']:.2f}% of {agg['universe']}"
     lines = [
         "Fleet results store",
         f"  runs: {agg['runs']}{' (live)' if agg['live'] else ''}"
         f"  mode: {agg['mode'] or '-'}  worker slots: {agg['worker_slots']}",
-        f"  union coverage: {agg['union_percent']:.2f}% of {agg['universe']}"
-        f"  tests: {agg['total_tests']}",
+        f"  union coverage: {union}  tests: {agg['total_tests']}",
         f"  wall: {agg['wall_seconds']:.1f}s  busy: {agg['busy_seconds']:.1f}s"
         f"  utilisation: {100.0 * agg['utilisation']:.0f}%",
         "",

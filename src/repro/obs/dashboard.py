@@ -11,7 +11,8 @@ Endpoints (all GET):
 - ``/``             — HTML page that polls the JSON API and renders arm
   curves (inline SVG), the fleet summary, health and the E-BUGS table.
 - ``/api/summary``  — :meth:`StoreAggregates.as_dict` plus classified
-  ``bugs`` rows: per-arm downsampled coverage curves, fleet union %,
+  ``bugs`` rows: per-arm downsampled coverage curves, fleet union %
+  (one per DUT universe on a mixed Rocket + BOOM store),
   worker utilisation, retry/quarantine health, per-phase wall time.
 - ``/api/events``   — the most recent linearized events
   (``?tail=N``, default 100) for tail -f-style debugging.
@@ -83,8 +84,12 @@ function draw(arms) {
 async function refresh() {
   try {
     const agg = await (await fetch("api/summary")).json();
+    const union = agg.union_percent === null
+      ? Object.entries(agg.union_percents).map(([u, p]) =>
+          `${p.toFixed(2)}% of ${u}`).join(", ")
+      : `${agg.union_percent.toFixed(2)}% of ${agg.universe}`;
     document.getElementById("meta").textContent =
-      `union ${agg.union_percent.toFixed(2)}% of ${agg.universe}` +
+      `union ${union}` +
       ` | tests ${agg.total_tests} | mode ${agg.mode || "-"}` +
       ` | slots ${agg.worker_slots}` +
       ` | utilisation ${(100 * agg.utilisation).toFixed(0)}%` +

@@ -250,9 +250,14 @@ class StoreAggregates:
     #: Per-arm rows: name, tests, coverage %, downsampled curve, busy
     #: seconds, quarantine flag and per-phase wall-time sums.
     arms: list[dict] = field(default_factory=list)
-    #: Fleet-union coverage percent (union of the latest per-arm bitmaps).
-    union_percent: float = 0.0
+    #: Fleet-union coverage percent (union of the latest per-arm bitmaps)
+    #: over the store's one DUT universe of ``universe`` arms; ``None``
+    #: (and ``universe`` 0) when the arms span several universes.
+    union_percent: float | None = 0.0
     universe: int = 0
+    #: Union coverage percent per DUT universe, keyed by its arm count —
+    #: the shape of ``FleetResult.union_percents()``.
+    union_percents: dict = field(default_factory=dict)
     total_tests: int = 0
     busy_seconds: float = 0.0
     wall_seconds: float = 0.0
@@ -389,12 +394,17 @@ class StoreAggregates:
             agg.live = True
             agg.wall_seconds += max(0.0, agg.last_event_t - open_run_started)
 
-        union = 0
+        unions: dict[int, int] = {}
         for bitmap in bitmaps.values():
-            union |= bitmap.to_int()
-            agg.universe = max(agg.universe, bitmap.nbits)
-        if agg.universe:
-            agg.union_percent = 100.0 * union.bit_count() / agg.universe
+            if bitmap.nbits:
+                unions[bitmap.nbits] = (unions.get(bitmap.nbits, 0)
+                                        | bitmap.to_int())
+        agg.union_percents = {universe: 100.0 * bits.bit_count() / universe
+                              for universe, bits in sorted(unions.items())}
+        if len(unions) > 1:
+            agg.union_percent = None
+        elif unions:
+            (agg.universe, agg.union_percent), = agg.union_percents.items()
 
         for name in sorted(arms):
             row = arms[name]

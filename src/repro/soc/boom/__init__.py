@@ -7,7 +7,7 @@ reproduces that profile: a rename/issue/ROB/LSU pipeline whose conditions
 saturate quickly, with only a small never-reachable residue (~3% of arms).
 """
 
-from repro.soc.boom.core import BoomCore, BoomRunState
+from repro.soc.boom.core import BoomCore
 from repro.soc.boom.params import BoomParams
 
-__all__ = ["BoomCore", "BoomParams", "BoomRunState"]
+__all__ = ["BoomCore", "BoomParams"]

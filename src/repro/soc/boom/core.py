@@ -50,11 +50,7 @@ class BoomRunState:
     Mirrors :class:`repro.soc.rocket.core.RunState`: everything the scalar
     run loop used to keep in locals lives here so that
     :meth:`BoomCore.step_cycle` can execute exactly one loop iteration at a
-    time.  That is the shared per-instruction step hook the batched engine
-    (``repro.soc.batch_boom``) peels hard lanes to: the batch side splices
-    lane state into a :class:`BoomRunState`, steps the retained scalar
-    core, and splices the result back — hard-case semantics keep one
-    implementation.
+    time.
     """
 
     __slots__ = (
@@ -164,23 +160,17 @@ class BoomCore(Module):
             pass
         return self.finish_run(rs)
 
-    def begin_run(self, program: list[int], base: int = DRAM_BASE,
-                  memory: SparseMemory | None = None) -> BoomRunState:
-        """Reset the core and build the loop state for one run.
-
-        ``memory`` lets the batched engine substitute a lane-arena-backed
-        view; the default builds a fresh :class:`SparseMemory` with the
-        program and trap handler loaded.
-        """
+    def begin_run(self, program: list[int],
+                  base: int = DRAM_BASE) -> BoomRunState:
+        """Reset the core and build the loop state for one run: a fresh
+        :class:`SparseMemory` with the program and trap handler loaded."""
         self.reset()
         self.cov.begin_run()
 
         rs = BoomRunState()
-        if memory is None:
-            memory = SparseMemory()
-            memory.load_program(program, base)
-            memory.load_program(trap_handler_image(), TRAP_VECTOR)
-        rs.memory = memory
+        rs.memory = memory = SparseMemory()
+        memory.load_program(program, base)
+        memory.load_program(trap_handler_image(), TRAP_VECTOR)
         rs.state = ArchState(pc=base)
         rs.trace = CommitTrace()
 
@@ -212,7 +202,7 @@ class BoomCore(Module):
         return rs.trace, CoverageReport.from_coverage(self.cov, rs.cycles)
 
     def step_cycle(self, rs: BoomRunState) -> bool:
-        """Execute exactly one run-loop iteration (the shared step hook).
+        """Execute exactly one run-loop iteration.
 
         Returns True while the run should continue; False once a stop
         reason has been recorded on ``rs.trace``.  One iteration is one

@@ -148,10 +148,11 @@ class TestScoringParity:
 
 
 class TestRealHarnessParity:
-    def test_rocket_reports_feed_both_calculators_identically(self):
+    @pytest.mark.parametrize("kind", ["rocket", "boom"])
+    def test_calculators_agree_on_reports(self, kind):
         """Real DUT coverage reports: the retained set calculator scores the
         same curve as the bitset one (fixed bodies, fixed seed)."""
-        harness = make_harness("rocket")
+        harness = make_harness(kind)
         from repro.baselines.mutations import MutationEngine
 
         engine = MutationEngine(seed=5)
@@ -169,4 +170,7 @@ class TestRealHarnessParity:
         ])
         assert bit_out == set_out
         assert scorer.score_batch(bit_out) == scorer.score_batch(set_out)
-        assert bit_calc.total_percent == set_calc.total_percent
+        # Same arm count exactly; the two percent formulas round the same
+        # ratio differently in the last ulp on some universes (BOOM's).
+        assert bit_calc.cumulative.count == set_calc.cumulative.count
+        assert bit_calc.total_percent == pytest.approx(set_calc.total_percent)

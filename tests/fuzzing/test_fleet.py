@@ -313,8 +313,9 @@ class TestStreamingMode:
 
 
 class TestMixedArmFleet:
-    """Heterogeneous fleet: one Rocket arm + one BOOM arm, both riding
-    their kind's batch engines (``golden_lanes=dut_lanes=8``)."""
+    """Heterogeneous fleet: one Rocket arm riding both batch engines
+    (``golden_lanes=dut_lanes=8``) + one BOOM arm on golden lanes only
+    (BOOM has no batch DUT engine)."""
 
     def _specs(self, golden_lanes=0, dut_lanes=0):
         return [
@@ -325,7 +326,7 @@ class TestMixedArmFleet:
             CampaignSpec("boom-arm", fuzzer="random",
                          fuzzer_config={"body_instructions": 16}, seed=2,
                          harness="boom", golden_lanes=golden_lanes,
-                         dut_lanes=dut_lanes, batch_size=8, budget_tests=24),
+                         batch_size=8, budget_tests=24),
         ]
 
     def test_streaming_lanes_bit_identical_to_scalar(self):

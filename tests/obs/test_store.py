@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 
+from repro.analysis.report import store_report
 from repro.fuzzing.fleet import CampaignSpec, FleetRunner
 from repro.fuzzing.scheduler import RoundRobin
 from repro.obs.events import Event, ListSink, WorkerIdentity
@@ -196,6 +197,31 @@ class TestFleetWithStore:
         stored = {tuple(_as_tuple(m["signature"])) for m in agg.mismatches}
         assert stored == result.unique_signatures
 
+    def test_mixed_kind_store_reports_one_union_per_universe(self, tmp_path):
+        """A Rocket + BOOM store aggregates one union per DUT universe, as
+        the fleet result does, and no single cross-universe percent."""
+        specs = [
+            CampaignSpec("rocket-0", fuzzer="thehuzz",
+                         fuzzer_config={"body_instructions": 16}, seed=5,
+                         harness="rocket", batch_size=8, budget_tests=16),
+            CampaignSpec("boom-0", fuzzer="random",
+                         fuzzer_config={"body_instructions": 16}, seed=2,
+                         harness="boom", batch_size=8, budget_tests=16),
+        ]
+        store = ResultsStore(tmp_path / "store")
+        with store.sink() as sink:
+            with FleetRunner(specs, n_workers=0, sink=sink) as fleet:
+                result = fleet.run_scheduled(RoundRobin(), slice_tests=8)
+        agg = store.aggregate()
+        assert len(agg.union_percents) == 2
+        assert agg.union_percents == result.union_percents()
+        assert agg.union_percent is None and agg.universe == 0
+        report = store_report(agg)
+        assert ", ".join(f"{percent:.2f}% of {universe}" for universe, percent
+                         in result.union_percents().items()) in report
+        # The dashboard's JSON payload renders the same way.
+        assert store_report(json.loads(json.dumps(agg.as_dict()))) == report
+
     def test_kill_and_resume_store_equals_uninterrupted(self, tmp_path):
         """Acceptance pin: a killed fleet's store, reopened by the resumed
         run with a fresh writer segment, aggregates to the same arms as an
@@ -265,6 +291,17 @@ class TestAggregatesFromSynthetic:
         agg = StoreAggregates.build(twice, {})
         assert agg.arms[0]["slices"] == 1
         assert agg.arms[0]["busy_seconds"] == 1.0
+
+    def test_union_per_universe(self):
+        one = StoreAggregates.build([], {"a": Bitset(0b0011, 4),
+                                         "b": Bitset(0b0110, 4)})
+        assert (one.union_percent, one.universe) == (75.0, 4)
+        assert one.union_percents == {4: 75.0}
+        mixed = StoreAggregates.build([], {"a": Bitset(0b0011, 4),
+                                           "b": Bitset(0b0110, 4),
+                                           "c": Bitset(0b1, 8)})
+        assert mixed.union_percents == {4: 75.0, 8: 12.5}
+        assert mixed.union_percent is None and mixed.universe == 0
 
     def test_live_run_detected_from_unmatched_start(self):
         events = [

@@ -141,35 +141,26 @@ class TestBatchedLanes:
             assert trace.entries == ref_trace.entries
             assert report.hits == ref_report.hits
 
-    def test_boom_dut_lanes_batch_matches_scalar(self):
+    def test_boom_golden_lanes_batch_matches_scalar(self):
         scalar = make_harness("boom").run_differential_batch(self.BODIES)
         lanes = make_harness(
-            "boom", golden_lanes=4,
-            dut_lanes=4).run_differential_batch(self.BODIES)
+            "boom", golden_lanes=4).run_differential_batch(self.BODIES)
         for (dt0, gt0, r0), (dt1, gt1, r1) in zip(scalar, lanes):
             assert dt1.entries == dt0.entries
             assert gt1.entries == gt0.entries
             assert r1.hits == r0.hits and r1.cycles == r0.cycles
 
-    def test_kind_without_batch_engine_rejects_dut_lanes(self, monkeypatch):
-        """A registered kind that declares no batch engine must keep the
-        loud error — at factory-build time and at harness-build time."""
-        from repro.soc import harness as harness_mod
-        from repro.soc.rocket import RocketParams
+    def test_kind_without_batch_engine_rejects_dut_lanes(self):
+        """BOOM declares no batch engine: scalar BOOM builds, but any
+        dut_lanes request fails loudly at factory-build time and at
+        harness-build time."""
+        from repro.soc.harness import harness_factory
 
-        class ScalarOnlyCore:
-            params = RocketParams()
-
-        monkeypatch.setitem(
-            harness_mod.ENGINE_REGISTRY, "scalar-only",
-            lambda: harness_mod.EngineSpec(ScalarOnlyCore, RocketParams, None))
-        # Scalar use of the kind is fine...
-        harness_mod.harness_factory("scalar-only")
-        # ...but any dut_lanes request fails loudly on both paths.
+        harness_factory("boom")().run_dut(self.BODIES[0])
         with pytest.raises(ValueError, match="batch engine"):
-            harness_mod.harness_factory("scalar-only", dut_lanes=4)
+            harness_factory("boom", dut_lanes=4)
         with pytest.raises(ValueError, match="batch engine"):
-            harness_mod.DutHarness(ScalarOnlyCore(), dut_lanes=4)
+            make_harness("boom", dut_lanes=4)
 
     def test_unknown_kind_rejected(self):
         from repro.soc.harness import harness_factory
