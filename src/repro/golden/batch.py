@@ -45,6 +45,7 @@ from repro.golden.csr import (
     MSTATUS_MPP_SHIFT,
     MSTATUS_WRITE_MASK,
 )
+from repro.golden.exceptions import Trap
 from repro.golden.memory import SparseMemory
 from repro.golden.simulator import (
     GoldenSimulator,
@@ -53,7 +54,7 @@ from repro.golden.simulator import (
     trap_handler_image,
 )
 from repro.golden.state import ArchState
-from repro.golden.trace import CommitTrace, MemOp, TraceEntry
+from repro.golden.trace import CommitTrace, MemOp, TraceEntry, trace_entry
 from repro.isa import spec
 from repro.isa.decoder import decode
 
@@ -228,6 +229,13 @@ class _LaneMemory(SparseMemory):
     def read_bytes(self, addr: int, size: int) -> bytes:
         off = addr - spec.DRAM_BASE
         return self._group.arena[self._lane, off:off + size].tobytes()
+
+    def fetch(self, addr: int) -> int:
+        # The base class's single-page fast path reads its own pages; a
+        # lane's bytes live in the arena, so fetch goes through read_bytes.
+        if not self.is_mapped(addr, 4):
+            raise Trap(spec.EXC_INSTR_ACCESS_FAULT, tval=addr)
+        return int.from_bytes(self.read_bytes(addr, 4), "little")
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         off = addr - spec.DRAM_BASE
@@ -1383,26 +1391,14 @@ class _LaneGroup:
             self.c_ca[lane, :ncol].tolist(),
             self.c_cv[lane, :ncol].tolist(),
         )
-        # Frozen-dataclass construction is the per-entry hot path; a direct
-        # __dict__ swap via object.__setattr__ skips __init__/__setattr__.
-        new = TraceEntry.__new__
-        osa = object.__setattr__
         entries: list[TraceEntry] = [None] * n  # type: ignore[list-item]
         i = 0
         for pc_, w_, pr_, rd_, v_, mk_, ma_, ms_, md_, tc_, tv_, ca_, cv_ in rows:
-            e = new(TraceEntry)
-            osa(e, "__dict__", {
-                "pc": pc_,
-                "instr": w_,
-                "priv": pr_,
-                "rd": rd_ if rd_ else None,
-                "rd_value": v_,
-                "mem": MemOp(ma_, ms_, mk_ == 2, md_) if mk_ else None,
-                "trap_cause": tc_ if tc_ >= 0 else None,
-                "trap_tval": tv_,
-                "csr_write": (ca_, cv_) if ca_ >= 0 else None,
-            })
-            entries[i] = e
+            entries[i] = trace_entry(
+                pc_, w_, pr_, rd_ if rd_ else None, v_,
+                MemOp(ma_, ms_, mk_ == 2, md_) if mk_ else None,
+                tc_ if tc_ >= 0 else None, tv_,
+                (ca_, cv_) if ca_ >= 0 else None)
             i += 1
         if ov:
             for j, e in ov.items():

@@ -15,6 +15,11 @@ MSTATUS_MPP_MASK = 0b11 << MSTATUS_MPP_SHIFT
 #: Writable bits of mstatus in this profile (WARL — all else reads zero).
 MSTATUS_WRITE_MASK = MSTATUS_MIE | MSTATUS_MPIE | MSTATUS_MPP_MASK
 
+# Module-level copies for tick(), which runs once per retired instruction.
+_MCYCLE = spec.CSR_MCYCLE
+_MINSTRET = spec.CSR_MINSTRET
+_WORD_MASK = spec.WORD_MASK
+
 
 class CSRFile:
     """The implemented CSRs with spec-conformant access rules.
@@ -106,12 +111,9 @@ class CSRFile:
 
     def tick(self, cycles: int = 1, instret: int = 1) -> None:
         """Advance the hardware counters after a retired instruction."""
-        self._values[spec.CSR_MCYCLE] = (
-            self._values[spec.CSR_MCYCLE] + cycles
-        ) & spec.WORD_MASK
-        self._values[spec.CSR_MINSTRET] = (
-            self._values[spec.CSR_MINSTRET] + instret
-        ) & spec.WORD_MASK
+        values = self._values
+        values[_MCYCLE] = (values[_MCYCLE] + cycles) & _WORD_MASK
+        values[_MINSTRET] = (values[_MINSTRET] + instret) & _WORD_MASK
 
     # -- trap entry / return --------------------------------------------------
 

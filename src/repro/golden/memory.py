@@ -94,7 +94,10 @@ class SparseMemory:
         """Fetch a 32-bit instruction word; raises instruction access fault."""
         if not self.is_mapped(addr, 4):
             raise Trap(EXC_INSTR_ACCESS_FAULT, tval=addr)
-        return int.from_bytes(self.read_bytes(addr, 4), "little")
+        start = addr & (_PAGE_SIZE - 1)
+        if start > _PAGE_SIZE - 4:  # straddles a page boundary
+            return int.from_bytes(self.read_bytes(addr, 4), "little")
+        return int.from_bytes(self._page(addr)[start:start + 4], "little")
 
     def load_program(self, words: list[int], base: int) -> None:
         """Write a program image (little-endian 32-bit words) at ``base``."""

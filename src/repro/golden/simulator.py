@@ -16,7 +16,7 @@ from repro.golden.exceptions import Trap
 from repro.golden.executor import execute
 from repro.golden.memory import SparseMemory
 from repro.golden.state import ArchState
-from repro.golden.trace import CommitTrace, TraceEntry
+from repro.golden.trace import CommitTrace, TraceEntry, trace_entry
 from repro.isa.decoder import decode
 from repro.isa.encoder import encode
 from repro.isa.spec import (
@@ -95,13 +95,8 @@ def step_instruction(
         result = execute(state, memory, instr, pc)
     except Trap as trap:
         traps_taken += 1
-        entry = TraceEntry(
-            pc=pc,
-            instr=word,
-            priv=state.priv,
-            trap_cause=trap.cause,
-            trap_tval=trap.tval,
-        )
+        entry = trace_entry(pc, word, state.priv, None, 0, None,
+                            trap.cause, trap.tval)
         state.reservation = None
         handler_pc = state.csr.enter_trap(trap.cause, pc, trap.tval, state.priv)
         state.priv = PRV_M
@@ -113,16 +108,10 @@ def step_instruction(
 
     entry = None
     if not in_handler or config.trace_handler:
-        rd = result.rd if result.rd not in (None, 0) else None
-        entry = TraceEntry(
-            pc=pc,
-            instr=word,
-            priv=state.priv,
-            rd=rd,
-            rd_value=result.rd_value if rd is not None else 0,
-            mem=result.mem,
-            csr_write=result.csr_write,
-        )
+        rd = result.rd or None
+        entry = trace_entry(pc, word, state.priv, rd,
+                            result.rd_value if rd is not None else 0,
+                            result.mem, None, 0, result.csr_write)
     state.pc = result.next_pc & WORD_MASK
     state.csr.tick()
     if result.halt:

@@ -9,7 +9,7 @@ is purely structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,13 @@ class MemOp:
         return f"{kind}[{self.addr:#x},{self.size}]={self.data:#x}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
-    """Architectural effects of one retired (or trapping) instruction."""
+    """Architectural effects of one retired (or trapping) instruction.
+
+    Simulators build entries with :func:`trace_entry`, which skips the
+    frozen ``__init__``; keyword construction stays the public form.
+    """
 
     pc: int
     instr: int
@@ -48,6 +52,13 @@ class TraceEntry:
     def trapped(self) -> bool:
         return self.trap_cause is not None
 
+    def __reduce__(self):
+        # A positional rebuild: one tuple per entry on the pool's pickle
+        # stream, restored through the fast constructor.
+        return trace_entry, (self.pc, self.instr, self.priv, self.rd,
+                             self.rd_value, self.mem, self.trap_cause,
+                             self.trap_tval, self.csr_write)
+
     def summary(self) -> str:
         """Compact single-line rendering used in mismatch reports."""
         parts = [f"pc={self.pc:#x}", f"instr={self.instr:#010x}", f"prv={self.priv}"]
@@ -60,6 +71,36 @@ class TraceEntry:
         if self.trapped:
             parts.append(f"trap={self.trap_cause} tval={self.trap_tval:#x}")
         return " ".join(parts)
+
+
+_new_entry = object.__new__
+(_set_pc, _set_instr, _set_priv, _set_rd, _set_rd_value, _set_mem,
+ _set_trap_cause, _set_trap_tval, _set_csr_write) = (
+    TraceEntry.__dict__[f.name].__set__ for f in fields(TraceEntry))
+
+
+def trace_entry(pc: int, instr: int, priv: int, rd: int | None = None,
+                rd_value: int = 0, mem: MemOp | None = None,
+                trap_cause: int | None = None, trap_tval: int = 0,
+                csr_write: tuple[int, int] | None = None) -> TraceEntry:
+    """Build a :class:`TraceEntry` from positional fields.
+
+    Equal to ``TraceEntry(pc, instr, ...)`` but fills the slots through
+    their member descriptors, so it skips the frozen ``__init__``'s one
+    ``object.__setattr__`` per field; it is the per-retired-instruction
+    hot path of every simulator.
+    """
+    e = _new_entry(TraceEntry)
+    _set_pc(e, pc)
+    _set_instr(e, instr)
+    _set_priv(e, priv)
+    _set_rd(e, rd)
+    _set_rd_value(e, rd_value)
+    _set_mem(e, mem)
+    _set_trap_cause(e, trap_cause)
+    _set_trap_tval(e, trap_tval)
+    _set_csr_write(e, csr_write)
+    return e
 
 
 @dataclass

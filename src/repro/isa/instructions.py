@@ -81,6 +81,13 @@ class InstrSpec:
     is_system / is_fence:
         Semantic classification used by the SoC models, the mutation engine
         and the dataset generator.
+    writes_rd / reads_rs1 / reads_rs2:
+        Whether the format has an ``rd`` / ``rs1`` / ``rs2`` operand.
+    is_memory / is_control_flow:
+        Loads, stores and atomics (everything touching the D-side); branches
+        and jumps.  These five flags are derived once at construction; they
+        are not dataclass fields, so they take no part in equality or
+        ``repr``.
     """
 
     mnemonic: str
@@ -103,32 +110,24 @@ class InstrSpec:
     match: int = field(default=0, compare=False)
     mask: int = field(default=0, compare=False)
 
+    def __post_init__(self) -> None:
+        # Derived flags, computed once per spec: the simulators read them
+        # on every executed instruction.
+        operands = FORMAT_OPERANDS[self.fmt]
+        derived = {
+            "writes_rd": "rd" in operands,
+            "reads_rs1": "rs1" in operands,
+            "reads_rs2": "rs2" in operands,
+            "is_memory": self.is_load or self.is_store or self.is_amo,
+            "is_control_flow": self.is_branch or self.is_jump,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
     @property
     def operands(self) -> tuple[str, ...]:
         """Operand field names in assembler order."""
         return FORMAT_OPERANDS[self.fmt]
-
-    @property
-    def writes_rd(self) -> bool:
-        """True when the instruction has an architectural destination register."""
-        return "rd" in self.operands
-
-    @property
-    def reads_rs1(self) -> bool:
-        return "rs1" in self.operands
-
-    @property
-    def reads_rs2(self) -> bool:
-        return "rs2" in self.operands
-
-    @property
-    def is_memory(self) -> bool:
-        """Loads, stores and atomics — everything that touches the D-side."""
-        return self.is_load or self.is_store or self.is_amo
-
-    @property
-    def is_control_flow(self) -> bool:
-        return self.is_branch or self.is_jump
 
 
 def _match_mask(spec: InstrSpec) -> tuple[int, int]:

@@ -14,12 +14,18 @@ class Module:
     Subclasses declare conditions during ``__init__`` with :meth:`condition`
     and record observations with :meth:`cond`; registers created with
     :meth:`reg` are committed automatically by the clock domain.
+
+    Hot paths that evaluate several conditions per call skip :meth:`cond`:
+    they index each condition's prebound ``(false_bit, true_bit)`` pair in
+    ``self._pairs`` with the condition's bool, OR the bits into a local int
+    and retire it with one ``self.cov.record_mask``.
     """
 
     def __init__(self, path: str, cov: ConditionCoverage) -> None:
         self.path = path
         self.cov = cov
-        self._handles: dict[str, int] = {}
+        #: Local condition name -> its ``(false_bit, true_bit)`` arm pair.
+        self._pairs: dict[str, tuple[int, int]] = {}
         self._regs: list[Reg] = []
         self._children: list[Module] = []
 
@@ -27,7 +33,9 @@ class Module:
 
     def condition(self, name: str) -> None:
         """Declare a condition local to this module (``<path>.<name>``)."""
-        self._handles[name] = self.cov.declare(f"{self.path}.{name}")
+        handle = self.cov.declare(f"{self.path}.{name}")
+        self._pairs[name] = (self.cov.arm_bit(handle, False),
+                             self.cov.arm_bit(handle, True))
 
     def conditions(self, *names: str) -> None:
         """Declare several conditions at once."""
@@ -49,7 +57,11 @@ class Module:
 
     def cond(self, name: str, value) -> bool:
         """Record one observation of a declared condition; returns bool(value)."""
-        return self.cov.record(self._handles[name], bool(value))
+        value = bool(value)
+        # One frame: the pair's bit goes straight into the run bitmap, which
+        # is what ConditionCoverage.record_mask would do.
+        self.cov._run_bits |= self._pairs[name][value]
+        return value
 
     def arm_bit(self, name: str, value) -> int:
         """Bitmap contribution of observing ``name`` with ``value``.
@@ -58,7 +70,7 @@ class Module:
         condition group once, then retire the whole group per evaluation
         with ``self.cov.record_mask(mask)``.
         """
-        return self.cov.arm_bit(self._handles[name], value)
+        return self._pairs[name][1 if value else 0]
 
     def record_keyed_group(self, cache: dict, key, builder, arg,
                            cap: int = 65536) -> None:

@@ -17,7 +17,7 @@ from repro.golden.executor import execute
 from repro.golden.memory import SparseMemory
 from repro.golden.simulator import trap_handler_image
 from repro.golden.state import ArchState
-from repro.golden.trace import CommitTrace, TraceEntry
+from repro.golden.trace import CommitTrace, trace_entry
 from repro.isa.decoder import decode
 from repro.isa.spec import (
     DRAM_BASE,
@@ -239,14 +239,16 @@ class BoomCore(Module):
             rs.busy_phys = max(0, rs.busy_phys - 2)
 
         # ---------------- fetch -----------------------------------------
+        # Every observation of the cycle is ORed into ``mask`` and retired
+        # with one record_mask per exit (ordering is free).
+        pairs = self._pairs
         if not memory.is_mapped(pc, 4):
-            self.cond("frontend.fetch_fault", True)
+            self.cov.record_mask(pairs["frontend.fetch_fault"][True])
             rs.cycles += p.mispredict_penalty
             rs.traps_taken += 1
             self._trap_conditions(EXC_INSTR_ACCESS_FAULT)
-            trace.append(TraceEntry(pc=pc, instr=0, priv=state.priv,
-                                    trap_cause=EXC_INSTR_ACCESS_FAULT,
-                                    trap_tval=pc))
+            trace.append(trace_entry(pc, 0, state.priv, None, 0, None,
+                                     EXC_INSTR_ACCESS_FAULT, pc))
             state.reservation = None
             state.pc = state.csr.enter_trap(
                 EXC_INSTR_ACCESS_FAULT, pc, pc, state.priv)
@@ -256,26 +258,26 @@ class BoomCore(Module):
                 trace.stop_reason = "max_traps"
                 return False
             return True
-        self.cond("frontend.fetch_fault", False)
-        if self.icache.lookup(pc) is None:
+        fb_empty = self.icache.lookup(pc) is None
+        if fb_empty:
             self.icache.refill(pc, memory.read_bytes)
             rs.cycles += self.icache.miss_penalty
-            self.cond("frontend.fb_empty", True)
-        else:
-            self.cond("frontend.fb_empty", False)
-        self.cond("frontend.fb_full", rs.rob_occupancy >= p.rob_entries - 2)
-        word = memory.load(pc, 4)  # BOOM's I$ snoops stores: always fresh
+        mask = (pairs["frontend.fetch_fault"][False]
+                | pairs["frontend.fb_empty"][fb_empty]
+                | pairs["frontend.fb_full"][
+                    rs.rob_occupancy >= p.rob_entries - 2])
+        word = memory.fetch(pc)  # BOOM's I$ snoops stores: always fresh
 
         # ---------------- decode / rename --------------------------------
         instr = decode(word)
         self._decode_conditions(instr, word)
         if instr is None:
+            self.cov.record_mask(mask)
             rs.cycles += p.mispredict_penalty
             rs.traps_taken += 1
             self._trap_conditions(EXC_ILLEGAL_INSTRUCTION)
-            trace.append(TraceEntry(pc=pc, instr=word, priv=state.priv,
-                                    trap_cause=EXC_ILLEGAL_INSTRUCTION,
-                                    trap_tval=word))
+            trace.append(trace_entry(pc, word, state.priv, None, 0, None,
+                                     EXC_ILLEGAL_INSTRUCTION, word))
             state.reservation = None
             state.pc = state.csr.enter_trap(
                 EXC_ILLEGAL_INSTRUCTION, pc, word, state.priv)
@@ -289,50 +291,53 @@ class BoomCore(Module):
         m = spec.mnemonic
 
         if spec.writes_rd:
-            self.cond("rename.rd_x0", instr.rd == 0)
+            mask |= pairs["rename.rd_x0"][instr.rd == 0]
             if instr.rd != 0:
-                self.cond("rename.waw_remap", instr.rd in rs.renamed)
+                mask |= pairs["rename.waw_remap"][instr.rd in rs.renamed]
                 rs.renamed.add(instr.rd)
                 rs.busy_phys += 1
         free = self.params.phys_regs - 32 - rs.busy_phys
-        self.cond("rename.freelist_low", free <= 4)
-        self.cond("rename.stall_freelist", free <= 0)
+        mask |= (pairs["rename.freelist_low"][free <= 4]
+                 | pairs["rename.stall_freelist"][free <= 0])
         if free <= 0:
             rs.cycles += 2
             rs.busy_phys = max(0, rs.busy_phys - 4)
 
         # ---------------- issue ------------------------------------------
         rs.iq_occupancy += 1
-        self.cond("issue.iq_full", rs.iq_occupancy >= p.issue_queue_entries)
-        self.cond("issue.iq_empty", rs.iq_occupancy <= 1)
-        if rs.iq_occupancy >= p.issue_queue_entries:
+        iq_full = rs.iq_occupancy >= p.issue_queue_entries
+        mask |= (pairs["issue.iq_full"][iq_full]
+                 | pairs["issue.iq_empty"][rs.iq_occupancy <= 1])
+        if iq_full:
             rs.cycles += 1
             rs.iq_occupancy -= 2
         rs1_dep = spec.reads_rs1 and instr.rs1 != 0 and instr.rs1 == rs.prev_rd
         rs2_dep = spec.reads_rs2 and instr.rs2 != 0 and instr.rs2 == rs.prev_rd
-        self.cond("issue.rs1_ready", not rs1_dep)
-        self.cond("issue.rs2_ready", not rs2_dep)
-        self.cond("issue.wakeup_bypass", rs1_dep or rs2_dep)
+        mask |= (pairs["issue.rs1_ready"][not rs1_dep]
+                 | pairs["issue.rs2_ready"][not rs2_dep]
+                 | pairs["issue.wakeup_bypass"][rs1_dep or rs2_dep])
 
         rs.rob_occupancy += 1
-        self.cond("rob.full", rs.rob_occupancy >= p.rob_entries)
-        self.cond("rob.empty", rs.rob_occupancy <= 1)
-        self.cond("rob.commit_two", rs.retired_since_drain == 0)
-        if rs.rob_occupancy >= p.rob_entries:
+        rob_full = rs.rob_occupancy >= p.rob_entries
+        mask |= (pairs["rob.full"][rob_full]
+                 | pairs["rob.empty"][rs.rob_occupancy <= 1]
+                 | pairs["rob.commit_two"][rs.retired_since_drain == 0])
+        if rob_full:
             rs.cycles += 1
             rs.rob_occupancy -= 2
 
         # RAS: calls push, returns pop.
         is_call = spec.is_jump and instr.rd == 1
         is_ret = m == "jalr" and instr.rd == 0 and instr.rs1 == 1
-        self.cond("frontend.ras_push", is_call)
-        self.cond("frontend.ras_pop", is_ret)
+        mask |= (pairs["frontend.ras_push"][is_call]
+                 | pairs["frontend.ras_pop"][is_ret])
         if is_call:
-            self.cond("frontend.ras_overflow", len(rs.ras) >= p.ras_entries)
+            mask |= pairs["frontend.ras_overflow"][
+                len(rs.ras) >= p.ras_entries]
             rs.ras.append((pc + 4) & WORD_MASK)
             del rs.ras[: max(0, len(rs.ras) - p.ras_entries)]
         if is_ret:
-            self.cond("frontend.ras_underflow", not rs.ras)
+            mask |= pairs["frontend.ras_underflow"][not rs.ras]
             if rs.ras:
                 rs.ras.pop()
 
@@ -341,21 +346,21 @@ class BoomCore(Module):
         if spec.is_branch:
             predicted = self.predictor.predict(pc)
         prv_before = state.priv
-        self.cond("csr.in_user_mode", state.priv == PRV_U)
+        mask |= pairs["csr.in_user_mode"][state.priv == PRV_U]
         try:
             result = execute(state, memory, instr, pc)
         except Trap as trap:
+            mask |= (pairs["rob.exception_at_head"][True]
+                     | pairs["rob.flush"][True])
+            if spec.is_memory:
+                mask |= (pairs["lsu.misaligned"][trap.cause in (4, 6)]
+                         | pairs["lsu.access_fault"][trap.cause in (5, 7)])
+            self.cov.record_mask(mask)
             rs.cycles += p.mispredict_penalty
             rs.traps_taken += 1
             self._trap_conditions(trap.cause)
-            self.cond("rob.exception_at_head", True)
-            self.cond("rob.flush", True)
-            if spec.is_memory:
-                self.cond("lsu.misaligned", trap.cause in (4, 6))
-                self.cond("lsu.access_fault", trap.cause in (5, 7))
-            trace.append(TraceEntry(pc=pc, instr=word, priv=prv_before,
-                                    trap_cause=trap.cause,
-                                    trap_tval=trap.tval))
+            trace.append(trace_entry(pc, word, prv_before, None, 0, None,
+                                     trap.cause, trap.tval))
             state.reservation = None
             rs.rob_occupancy = 0
             rs.iq_occupancy = 0
@@ -367,72 +372,74 @@ class BoomCore(Module):
                 trace.stop_reason = "max_traps"
                 return False
             return True
-        self.cond("csr.trap_taken", False)
-        self.cond("rob.exception_at_head", False)
+        mask |= (pairs["csr.trap_taken"][False]
+                 | pairs["rob.exception_at_head"][False]
+                 | pairs["csr.write"][result.csr_write is not None]
+                 | pairs["csr.mret"][m == "mret"]
+                 | pairs["csr.wfi"][bool(result.halt)])
 
         if spec.is_branch:
             taken = result.next_pc != (pc + 4) & WORD_MASK
-            self.cond("execute.br_taken", taken)
-            self.cond("execute.br_backward", instr.imm < 0)
             self.predictor.update(pc, taken, predicted)
             mispredicted = taken != predicted
-            self.cond("rob.flush", mispredicted)
+            mask |= (pairs["execute.br_taken"][taken]
+                     | pairs["execute.br_backward"][instr.imm < 0]
+                     | pairs["rob.flush"][mispredicted])
             if mispredicted:
                 rs.cycles += p.mispredict_penalty
                 rs.rob_occupancy = 0
                 rs.iq_occupancy = 0
         if spec.is_muldiv:
-            divlike = m.startswith(("div", "rem"))
-            if divlike:
-                self.cond("execute.div_by_zero",
-                          state.read_reg(instr.rs2) == 0)
+            if m.startswith(("div", "rem")):
+                mask |= pairs["execute.div_by_zero"][
+                    state.read_reg(instr.rs2) == 0]
                 rs.cycles += p.div_latency
             else:
-                self.cond("execute.mul_high", m in ("mulh", "mulhsu", "mulhu"))
+                mask |= pairs["execute.mul_high"][
+                    m in ("mulh", "mulhsu", "mulhu")]
                 rs.cycles += p.mul_latency
-        if result.rd is not None and result.rd != 0:
-            self.cond("execute.result_zero", result.rd_value == 0)
+        if result.rd:
+            mask |= pairs["execute.result_zero"][result.rd_value == 0]
 
         # ---------------- LSU ---------------------------------------------
         if result.mem is not None:
             addr = result.mem.addr
             if result.mem.is_store:
                 rs.stq += 1
-                self.cond("lsu.stq_full", rs.stq >= p.stq_entries)
-                if rs.stq >= p.stq_entries:
+                stq_full = rs.stq >= p.stq_entries
+                mask |= pairs["lsu.stq_full"][stq_full]
+                if stq_full:
                     rs.cycles += 1
                     rs.stq -= 1
             else:
                 rs.ldq += 1
-                self.cond("lsu.ldq_full", rs.ldq >= p.ldq_entries)
-                self.cond("lsu.stl_forward", rs.stq > 0 and not spec.is_amo)
-                if rs.ldq >= p.ldq_entries:
+                ldq_full = rs.ldq >= p.ldq_entries
+                mask |= (pairs["lsu.ldq_full"][ldq_full]
+                         | pairs["lsu.stl_forward"][
+                             rs.stq > 0 and not spec.is_amo])
+                if ldq_full:
                     rs.cycles += 1
                     rs.ldq -= 1
-            self.cond("lsu.misaligned", False)
-            self.cond("lsu.access_fault", False)
-            self.cond("lsu.reservation_set", m.startswith("lr."))
+            mask |= (pairs["lsu.misaligned"][False]
+                     | pairs["lsu.access_fault"][False]
+                     | pairs["lsu.reservation_set"][m.startswith("lr.")])
             if m.startswith("sc."):
-                self.cond("lsu.sc_success", result.rd_value == 0)
+                mask |= pairs["lsu.sc_success"][result.rd_value == 0]
             if self.dcache.lookup(addr) is None:
                 self.dcache.refill(addr, memory.read_bytes)
                 rs.cycles += self.dcache.miss_penalty
             if result.mem.is_store:
                 data = result.mem.data.to_bytes(result.mem.size, "little")
                 self.dcache.update_stored_line(addr, data)
-
-        self.cond("csr.write", result.csr_write is not None)
-        self.cond("csr.mret", m == "mret")
-        self.cond("csr.wfi", result.halt)
+        self.cov.record_mask(mask)
 
         # ---------------- retire -------------------------------------------
         if not in_handler:
-            rd = result.rd if result.rd not in (None, 0) else None
-            trace.append(TraceEntry(
-                pc=pc, instr=word, priv=prv_before, rd=rd,
-                rd_value=result.rd_value if rd is not None else 0,
-                mem=result.mem, csr_write=result.csr_write,
-            ))
+            rd = result.rd or None
+            trace.append(trace_entry(
+                pc, word, prv_before, rd,
+                result.rd_value if rd is not None else 0,
+                result.mem, None, 0, result.csr_write))
         rs.prev_rd = result.rd if result.rd else None
         rs.last_stall = rs.cycles - instr_start_cycles
         state.pc = result.next_pc & WORD_MASK

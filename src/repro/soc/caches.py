@@ -78,6 +78,16 @@ class SetAssocCache(Module):
             # Dirty-path conditions only exist in caches with a store port
             # (the I$ is read-only: no such logic, no such cover points).
             self.conditions("evict_dirty", "mark_dirty")
+        # A lookup's whole condition group is a function of its outcome
+        # (the hit way, or a miss), so each outcome's mask is prebuilt.
+        pairs = self._pairs
+        self._miss_mask = pairs["hit"][False] | pairs["refill"][True]
+        self._hit_masks = tuple(
+            pairs["hit"][True] | pairs["refill"][False]
+            | (pairs["hit_way0"][way == 0] | pairs["hit_way1"][way == 1]
+               if way < 2 else 0)  # per-way conditions: first two ways
+            for way in range(ways)
+        )
 
     # -- geometry helpers ------------------------------------------------------
 
@@ -95,20 +105,14 @@ class SetAssocCache(Module):
     def lookup(self, addr: int) -> CacheLine | None:
         """Probe for a hit, recording the hit/way conditions."""
         index, tag, _ = self._split(addr)
-        found = None
         for way, line in enumerate(self.lines[index]):
             if line.valid and line.tag == tag:
-                found = line
-                if way < 2:  # per-way conditions exist for the first two ways
-                    self.cond("hit_way0", way == 0)
-                    self.cond("hit_way1", way == 1)
-                break
-        self.cond("hit", found is not None)
-        self.cond("refill", found is None)  # a miss starts the refill FSM
-        if found is not None:
-            self._lru_clock += 1
-            found.lru = self._lru_clock
-        return found
+                self.cov.record_mask(self._hit_masks[way])
+                self._lru_clock += 1
+                line.lru = self._lru_clock
+                return line
+        self.cov.record_mask(self._miss_mask)  # a miss starts the refill FSM
+        return None
 
     def refill(self, addr: int, fetch_line) -> CacheLine:
         """Install the line containing ``addr``; ``fetch_line(base, n)`` reads
@@ -117,10 +121,12 @@ class SetAssocCache(Module):
         index, tag, _ = self._split(addr)
         ways = self.lines[index]
         victim = min(ways, key=lambda line: (line.valid, line.lru))
-        self.cond("set_conflict", all(line.valid for line in ways))
-        self.cond("evict_valid", victim.valid)
+        pairs = self._pairs
+        mask = (pairs["set_conflict"][all(line.valid for line in ways)]
+                | pairs["evict_valid"][victim.valid])
         if self.writable:
-            self.cond("evict_dirty", victim.valid and victim.dirty)
+            mask |= pairs["evict_dirty"][victim.valid and victim.dirty]
+        self.cov.record_mask(mask)
         if victim.valid:
             self.last_evicted = self._line_base(index, victim.tag) // self.line_bytes
         else:
@@ -175,10 +181,6 @@ class SetAssocCache(Module):
             for line in ways:
                 line.valid = False
                 line.dirty = False
-
-    def set_index(self, addr: int) -> int:
-        """The set an address maps to (used by set-thrash tracking)."""
-        return self._split(addr)[0]
 
     def is_dirty(self, addr: int) -> bool:
         line = self._peek(addr)

@@ -162,10 +162,13 @@ class DutHarness:
     ----------
     core:
         Any object with ``run(program, base) -> (CommitTrace, CoverageReport)``
-        (RocketCore or BoomCore).
+        and a ``params.max_steps`` step budget (RocketCore or BoomCore).
     max_steps:
-        Execution cap forwarded to the golden model (must match the core's
-        own ``params.max_steps`` for trace comparability).
+        Execution cap of the golden model.  Defaults to the core's own
+        ``params.max_steps``, the only value that keeps the two traces
+        comparable (a runaway loop would otherwise stop at different
+        lengths on the two sides and report a spurious ``trace_length``
+        mismatch); an explicit value that disagrees raises ``ValueError``.
     golden_lanes:
         Lane-group width for the batched golden engine
         (:class:`repro.golden.batch.GoldenBatchSimulator`).  ``0`` (the
@@ -185,8 +188,16 @@ class DutHarness:
         declares no batch engine (BOOM) reject it loudly.
     """
 
-    def __init__(self, core, max_steps: int = 4096,
+    def __init__(self, core, max_steps: int | None = None,
                  golden_lanes: int = 0, dut_lanes: int = 0) -> None:
+        core_steps = core.params.max_steps
+        if max_steps is None:
+            max_steps = core_steps
+        elif max_steps != core_steps:
+            raise ValueError(
+                f"max_steps={max_steps} disagrees with the core's "
+                f"params.max_steps={core_steps}: the golden model and the "
+                f"DUT must stop at the same step budget")
         self.core = core
         self.max_steps = max_steps
         self.golden_lanes = golden_lanes
@@ -277,7 +288,6 @@ def make_harness(kind: str = "rocket", params=None, golden_lanes: int = 0,
     engine = resolve_engine(kind)
     core_params = params or engine.params_cls()
     return DutHarness(engine.core_cls(core_params),
-                      max_steps=core_params.max_steps,
                       golden_lanes=golden_lanes, dut_lanes=dut_lanes)
 
 

@@ -36,28 +36,33 @@ class BranchPredictor(Module):
         """Predict taken/not-taken for the branch at ``pc``."""
         entry = self.btb[self._index(pc)]
         hit = entry is not None and entry["pc"] == pc
-        self.cond("btb_hit", hit)
-        self.cond("btb_alias", entry is not None and entry["pc"] != pc)
         taken = bool(hit and entry["ctr"] >= 2)
-        self.cond("pred_taken", taken)
+        pairs = self._pairs
+        self.cov.record_mask(
+            pairs["btb_hit"][hit]
+            | pairs["btb_alias"][entry is not None and entry["pc"] != pc]
+            | pairs["pred_taken"][taken])
         return taken
 
     def update(self, pc: int, taken: bool, predicted: bool) -> None:
         """Train the predictor with the resolved outcome."""
-        self.cond("mispredict", taken != predicted)
+        pairs = self._pairs
+        mask = pairs["mispredict"][taken != predicted]
         index = self._index(pc)
         entry = self.btb[index]
         if entry is None or entry["pc"] != pc:
-            self.cond("update_new_entry", True)
+            self.cov.record_mask(mask | pairs["update_new_entry"][True])
             self.btb[index] = {"pc": pc, "ctr": 2 if taken else 1}
             return
-        self.cond("update_new_entry", False)
         if taken:
             entry["ctr"] = min(3, entry["ctr"] + 1)
         else:
             entry["ctr"] = max(0, entry["ctr"] - 1)
-        self.cond("ctr_saturated_taken", entry["ctr"] == 3)
-        self.cond("ctr_saturated_not_taken", entry["ctr"] == 0)
+        self.cov.record_mask(
+            mask
+            | pairs["update_new_entry"][False]
+            | pairs["ctr_saturated_taken"][entry["ctr"] == 3]
+            | pairs["ctr_saturated_not_taken"][entry["ctr"] == 0])
 
     def reset(self) -> None:
         super().reset()

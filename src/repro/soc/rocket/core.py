@@ -16,7 +16,7 @@ from repro.golden.executor import execute
 from repro.golden.memory import SparseMemory
 from repro.golden.simulator import trap_handler_image
 from repro.golden.state import ArchState
-from repro.golden.trace import CommitTrace, TraceEntry
+from repro.golden.trace import CommitTrace, trace_entry
 from repro.isa.decoder import decode
 from repro.isa.spec import (
     CSR_CYCLE,
@@ -336,9 +336,8 @@ class RocketCore(Module):
             rs.cycles += p.trap_penalty
             rs.traps_taken += 1
             self._trap_conditions(EXC_INSTR_ACCESS_FAULT)
-            trace.append(TraceEntry(pc=pc, instr=0, priv=state.priv,
-                                    trap_cause=EXC_INSTR_ACCESS_FAULT,
-                                    trap_tval=pc))
+            trace.append(trace_entry(pc, 0, state.priv, None, 0, None,
+                                     EXC_INSTR_ACCESS_FAULT, pc))
             state.reservation = None
             state.pc = state.csr.enter_trap(
                 EXC_INSTR_ACCESS_FAULT, pc, pc, state.priv)
@@ -356,9 +355,8 @@ class RocketCore(Module):
             rs.cycles += p.trap_penalty
             rs.traps_taken += 1
             self._trap_conditions(EXC_ILLEGAL_INSTRUCTION)
-            trace.append(TraceEntry(pc=pc, instr=word, priv=state.priv,
-                                    trap_cause=EXC_ILLEGAL_INSTRUCTION,
-                                    trap_tval=word))
+            trace.append(trace_entry(pc, word, state.priv, None, 0, None,
+                                     EXC_ILLEGAL_INSTRUCTION, word))
             state.reservation = None
             state.pc = state.csr.enter_trap(
                 EXC_ILLEGAL_INSTRUCTION, pc, word, state.priv)
@@ -370,11 +368,15 @@ class RocketCore(Module):
             return True
 
         spec = instr.spec
+        m = spec.mnemonic
+        pairs = self._pairs
 
         # ---------------- hazards ---------------------------------------
         # Condition values are computed up front, the timing bookkeeping
-        # runs on them, and the whole group is recorded as one packed
-        # mask (recording has no side effects, so ordering is free).
+        # runs on them, and every observation of the cycle is ORed into
+        # ``mask``, retired with one record_mask before the trap path and
+        # one at the end (recording has no side effects, so ordering is
+        # free).
         rs1 = instr.rs1 if spec.reads_rs1 else None
         rs2 = instr.rs2 if spec.reads_rs2 else None
         raw1_ex = rs1 is not None and rs1 != 0 and rs1 == rs.prev1[0]
@@ -392,7 +394,7 @@ class RocketCore(Module):
         (p_raw1_ex, p_raw2_ex, p_raw1_mem, p_raw2_mem, p_load_use,
          p_muldiv, p_chain3, p_chain5, p_sp_use, p_lu_miss,
          ) = self._hazard_pairs
-        self.cov.record_mask(
+        mask = (
             p_raw1_ex[raw1_ex]
             | p_raw2_ex[raw2_ex]
             | p_raw1_mem[rs1 is not None and rs1 != 0 and rs1 == rs.prev2[0]]
@@ -403,28 +405,32 @@ class RocketCore(Module):
             | p_chain5[rs.dep_chain >= 5]
             | p_sp_use[bool(rs.prev_wrote_sp and rs1 == 2)]
             | p_lu_miss[bool(load_use and self._prev_load_missed)]
+            | pairs["csr.in_user_mode"][state.priv == PRV_U]
         )
         rs.prev_wrote_sp = spec.writes_rd and instr.rd == 2
         if spec.is_muldiv:
-            self.cond("execute.muldiv_chain",
-                      (raw1_ex or raw2_ex) and rs.prev1[2])
-            divlike_now = spec.mnemonic.startswith(("div", "rem"))
-            self.cond("execute.div_after_mul",
-                      divlike_now and rs.last_muldiv_was_mul
-                      and rs.cycles < rs.muldiv_busy_until + p.mul_latency)
+            divlike_now = m.startswith(("div", "rem"))
+            mask |= (
+                pairs["execute.muldiv_chain"][
+                    bool((raw1_ex or raw2_ex) and rs.prev1[2])]
+                | pairs["execute.div_after_mul"][
+                    bool(divlike_now and rs.last_muldiv_was_mul
+                         and rs.cycles < rs.muldiv_busy_until + p.mul_latency)]
+            )
             rs.last_muldiv_was_mul = not divlike_now
 
         # CSR-unit pre-checks (access legality conditions).
         if spec.is_csr:
-            self.cond("csr.read_only_violation",
-                      csr_is_read_only(instr.csr)
-                      and not (spec.mnemonic in ("csrrs", "csrrc") and instr.rs1 == 0)
-                      and not (spec.mnemonic in ("csrrsi", "csrrci") and instr.zimm == 0))
-            self.cond("csr.priv_violation",
-                      state.priv < csr_min_privilege(instr.csr))
-            self.cond("csr.counter_read",
-                      instr.csr in (CSR_CYCLE, CSR_TIME, CSR_INSTRET))
-        self.cond("csr.in_user_mode", state.priv == PRV_U)
+            mask |= (
+                pairs["csr.read_only_violation"][
+                    csr_is_read_only(instr.csr)
+                    and not (m in ("csrrs", "csrrc") and instr.rs1 == 0)
+                    and not (m in ("csrrsi", "csrrci") and instr.zimm == 0)]
+                | pairs["csr.priv_violation"][
+                    state.priv < csr_min_privilege(instr.csr)]
+                | pairs["csr.counter_read"][
+                    instr.csr in (CSR_CYCLE, CSR_TIME, CSR_INSTRET)]
+            )
 
         # ---------------- execute ---------------------------------------
         predicted = False
@@ -434,14 +440,14 @@ class RocketCore(Module):
         try:
             result = execute(state, memory, instr, pc)
         except Trap as trap:
+            self.cov.record_mask(mask)
             trap = self._adjust_trap_priority(trap, instr, memory)
             rs.cycles += p.trap_penalty
             rs.traps_taken += 1
             self._trap_conditions(trap.cause)
             self._mem_fault_conditions(instr, trap)
-            trace.append(TraceEntry(pc=pc, instr=word, priv=prv_before,
-                                    trap_cause=trap.cause,
-                                    trap_tval=trap.tval))
+            trace.append(trace_entry(pc, word, prv_before, None, 0, None,
+                                     trap.cause, trap.tval))
             state.reservation = None
             rs.store_buffer.clear()
             state.pc = state.csr.enter_trap(trap.cause, pc, trap.tval, prv_before)
@@ -453,49 +459,57 @@ class RocketCore(Module):
                 return False
             return True
 
-        self.cond("csr.trap_taken", False)
         rs.cycles += self._execute_conditions(instr, result, state, pc)
         rs.cycles += self._memory_model(instr, result, memory, rs.store_buffer)
 
+        redirect = result.next_pc != (pc + 4) & WORD_MASK
+        mask |= (
+            pairs["csr.trap_taken"][False]
+            | pairs["frontend.redirect"][redirect]
+            | pairs["csr.mret"][m == "mret"]
+            | pairs["csr.enter_user"][m == "mret" and state.priv == PRV_U]
+            | pairs["csr.wfi"][bool(result.halt)]
+            | pairs["csr.write"][result.csr_write is not None]
+        )
         if spec.is_branch:
-            taken = result.next_pc != (pc + 4) & WORD_MASK
+            taken = redirect
             self.predictor.update(pc, taken, predicted)
             if taken != predicted:
                 rs.cycles += p.mispredict_penalty
             if taken:
                 rs.branch_taken_counts[pc] = rs.branch_taken_counts.get(pc, 0) + 1
-            self.cond("frontend.loop_iteration",
-                      taken and rs.branch_taken_counts.get(pc, 0) >= 2)
-            self.cond("frontend.tight_loop",
-                      taken and -64 <= instr.imm < 0)
-            self.cond("execute.beq_taken",
-                      spec.mnemonic == "beq" and taken)
             outcomes = rs.branch_outcomes.setdefault(pc, set())
             outcomes.add(taken)
-            self.cond("frontend.branch_both_ways", len(outcomes) == 2)
-            self.cond("execute.branch_after_cmp",
-                      rs.prev_was_cmp_rd is not None
-                      and rs.prev_was_cmp_rd in (instr.rs1, instr.rs2))
+            mask |= (
+                pairs["frontend.loop_iteration"][
+                    taken and rs.branch_taken_counts.get(pc, 0) >= 2]
+                | pairs["frontend.tight_loop"][taken and -64 <= instr.imm < 0]
+                | pairs["execute.beq_taken"][m == "beq" and taken]
+                | pairs["frontend.branch_both_ways"][len(outcomes) == 2]
+                | pairs["execute.branch_after_cmp"][
+                    rs.prev_was_cmp_rd is not None
+                    and rs.prev_was_cmp_rd in (instr.rs1, instr.rs2)]
+            )
         if spec.is_jump:
-            self.cond("execute.link_reg_used", instr.rd == 1)
-            if spec.mnemonic == "jal" and instr.rd == 1:
-                self.cond("frontend.call_depth2",
-                          rs.ra_saved and bool(rs.link_stack))
+            mask |= pairs["execute.link_reg_used"][instr.rd == 1]
+            if m == "jal" and instr.rd == 1:
+                mask |= pairs["frontend.call_depth2"][
+                    rs.ra_saved and bool(rs.link_stack)]
                 rs.link_stack.append((pc + 4) & WORD_MASK)
                 del rs.link_stack[:-8]
-            if spec.mnemonic == "jalr":
+            if m == "jalr":
                 via_link = instr.rs1 == 1 and bool(rs.link_stack)
-                self.cond("frontend.jalr_to_link", via_link)
-                is_return = (
+                is_return = bool(
                     via_link and instr.rd == 0
                     and rs.link_stack and result.next_pc == rs.link_stack[-1]
                 )
-                self.cond("frontend.call_return_pair", is_return)
+                mask |= (pairs["frontend.jalr_to_link"][via_link]
+                         | pairs["frontend.call_return_pair"][is_return])
                 if is_return:
                     rs.link_stack.pop()
         rs.prev_was_cmp_rd = (
             instr.rd
-            if spec.mnemonic in ("slt", "sltu", "slti", "sltiu") and instr.rd
+            if m in ("slt", "sltu", "slti", "sltiu") and instr.rd
             else None
         )
         if spec.is_store and instr.rs2 == 1:
@@ -503,45 +517,37 @@ class RocketCore(Module):
         elif spec.is_load and instr.rd == 1:
             rs.ra_saved = False
         if spec.is_csr:
-            self.cond("csr.write_read_roundtrip",
-                      not in_handler and instr.csr in rs.csrs_written)
             will_write = result.csr_write is not None
-            self.cond("csr.mepc_user_write",
-                      not in_handler and will_write
-                      and instr.csr == CSR_MEPC)
-            mpp_cleared = (
-                will_write and instr.csr == CSR_MSTATUS
-                and result.csr_write[1] & 0x1800 == 0
+            mask |= (
+                pairs["csr.write_read_roundtrip"][
+                    not in_handler and instr.csr in rs.csrs_written]
+                | pairs["csr.mepc_user_write"][
+                    not in_handler and will_write and instr.csr == CSR_MEPC]
+                | pairs["csr.mstatus_mpp_clear"][
+                    will_write and instr.csr == CSR_MSTATUS
+                    and result.csr_write[1] & 0x1800 == 0]
             )
-            self.cond("csr.mstatus_mpp_clear", mpp_cleared)
             if will_write and not in_handler:
                 rs.csrs_written.add(instr.csr)
-        self.cond("frontend.redirect",
-                  result.next_pc != (pc + 4) & WORD_MASK)
 
-        if spec.mnemonic == "fence.i":
+        if m == "fence.i":
             dirty = any(
                 line.dirty for ways in self.dcache.lines for line in ways
             )
-            self.cond("mem.fencei_flush", True)
-            self.cond("mem.fencei_dirty", dirty)
+            mask |= (pairs["mem.fencei_flush"][True]
+                     | pairs["mem.fencei_dirty"][dirty])
             self.icache.invalidate_all()
             rs.cycles += p.fencei_penalty
         elif spec.is_fence:
-            self.cond("mem.fencei_flush", False)
-
-        self.cond("csr.mret", spec.mnemonic == "mret")
-        self.cond("csr.enter_user",
-                  spec.mnemonic == "mret" and state.priv == PRV_U)
-        self.cond("csr.wfi", result.halt)
-        self.cond("csr.write", result.csr_write is not None)
+            mask |= pairs["mem.fencei_flush"][False]
+        self.cov.record_mask(mask)
 
         # ---------------- retire ----------------------------------------
         if not in_handler:
             trace.append(self.tracer.retire(pc, instr, prv_before, result))
         if spec.is_muldiv:
             latency = (
-                p.div_latency if spec.mnemonic.startswith(("div", "rem"))
+                p.div_latency if m.startswith(("div", "rem"))
                 else p.mul_latency
             )
             rs.muldiv_busy_until = rs.cycles + latency
@@ -571,22 +577,24 @@ class RocketCore(Module):
         backing memory has since been modified — the stale-instruction
         behaviour behind CWE-1202.
         """
+        pairs = self._pairs
         if not memory.is_mapped(pc, 4):
-            self.cond("frontend.fetch_fault", True)
+            self.cov.record_mask(pairs["frontend.fetch_fault"][True])
             return 0, 0, True
-        self.cond("frontend.fetch_fault", False)
-        self.cond("frontend.line_cross",
-                  (pc & (self.icache.line_bytes - 1)) == self.icache.line_bytes - 4)
-        line = self.icache.lookup(pc)
+        icache = self.icache
+        offset = pc & (icache.line_bytes - 1)
+        self.cov.record_mask(
+            pairs["frontend.fetch_fault"][False]
+            | pairs["frontend.line_cross"][offset == icache.line_bytes - 4])
+        line = icache.lookup(pc)
+        extra = 0
         if line is None:
-            self.icache.refill(pc, memory.read_bytes)
-            cached = self.icache.read_cached(pc, 4)
-            return int.from_bytes(cached, "little"), self.icache.miss_penalty, False
-        cached = self.icache.read_cached(pc, 4)
-        if not self.params.bug1_fencei:
+            line = icache.refill(pc, memory.read_bytes)
+            extra = icache.miss_penalty
+        elif not self.params.bug1_fencei:
             # Clean core: I$ snoops stores, so always serve fresh memory.
-            return int.from_bytes(memory.read_bytes(pc, 4), "little"), 0, False
-        return int.from_bytes(cached, "little"), 0, False
+            return memory.fetch(pc), 0, False
+        return int.from_bytes(line.data[offset:offset + 4], "little"), extra, False
 
     # ------------------------------------------------------------- conditions --
 
@@ -640,96 +648,111 @@ class RocketCore(Module):
     def _execute_conditions(self, instr, result, state, pc: int) -> int:
         """Record execute-stage conditions; returns extra cycles."""
         spec = instr.spec
+        pairs = self._pairs
+        mask = 0
         extra = 0
         if spec.is_branch:
-            taken = result.next_pc != (pc + 4) & WORD_MASK
-            self.cond("execute.br_taken", taken)
-            self.cond("execute.br_backward", instr.imm < 0)
-        if result.rd is not None and result.rd != 0:
-            self.cond("execute.result_zero", result.rd_value == 0)
-            self.cond("execute.result_negative", bool(result.rd_value >> 63))
+            mask = (pairs["execute.br_taken"][
+                        result.next_pc != (pc + 4) & WORD_MASK]
+                    | pairs["execute.br_backward"][instr.imm < 0])
+        if result.rd:
+            mask |= (pairs["execute.result_zero"][result.rd_value == 0]
+                     | pairs["execute.result_negative"][
+                         bool(result.rd_value >> 63)])
         if spec.is_muldiv:
             m = spec.mnemonic
             divlike = m.startswith(("div", "rem"))
             if divlike:
                 divisor = state.read_reg(instr.rs2)
-                self.cond("execute.div_by_zero", divisor == 0)
                 dividend = state.read_reg(instr.rs1)
-                self.cond(
-                    "execute.div_overflow",
-                    divisor == WORD_MASK and dividend == 1 << 63,
-                )
+                mask |= (pairs["execute.div_by_zero"][divisor == 0]
+                         | pairs["execute.div_overflow"][
+                             divisor == WORD_MASK and dividend == 1 << 63])
                 extra += self.params.div_latency
             else:
-                self.cond("execute.mul_high", m in ("mulh", "mulhsu", "mulhu"))
+                mask |= pairs["execute.mul_high"][
+                    m in ("mulh", "mulhsu", "mulhu")]
                 extra += self.params.mul_latency
         if spec.fmt in ("I_SHIFT64", "I_SHIFT32"):
-            self.cond("execute.shift_zero_amount", instr.shamt == 0)
+            mask |= pairs["execute.shift_zero_amount"][instr.shamt == 0]
+        self.cov.record_mask(mask)
         return extra
 
     def _memory_model(self, instr, result, memory, store_buffer: list[int]) -> int:
         """D$-side modelling for a successfully executed instruction."""
         spec = instr.spec
+        m = spec.mnemonic
+        pairs = self._pairs
+        mask = 0
         # SC conditions must also fire for *failed* SCs, which perform no
         # memory operation at all.
-        if spec.mnemonic.startswith("sc."):
+        if m.startswith("sc."):
             failed = result.rd_value != 0
-            self.cond("mem.sc_success", not failed)
-            self.cond("mem.sc_after_store_fail", failed and self._resv_broken)
+            mask = (pairs["mem.sc_success"][not failed]
+                    | pairs["mem.sc_after_store_fail"][
+                        failed and self._resv_broken])
             self._resv_addr = None
             self._resv_broken = False
-        if result.mem is None:
+        mem = result.mem
+        if mem is None:
+            if mask:
+                self.cov.record_mask(mask)
             return 0
         extra = 0
-        addr = result.mem.addr
-        self.cond("mem.misaligned", False)
-        self.cond("mem.access_fault", False)
-        self.cond("mem.is_amo_op", spec.is_amo)
-        self.cond("mem.reservation_set", spec.mnemonic.startswith("lr."))
+        addr = mem.addr
+        dcache = self.dcache
         # Addressing-idiom and locality conditions.
         imm = instr.imm if not spec.is_amo else 0
-        is_store = result.mem.is_store
-        self.cond("mem.base_is_sp", instr.rs1 == 2)
-        self.cond("mem.base_is_gp_tp", instr.rs1 in (3, 4))
-        self.cond("mem.frame_access", instr.rs1 == 2 and 0 <= imm < 64)
-        self.cond("mem.neg_offset_store", is_store and imm < 0)
-        line_key = addr // self.dcache.line_bytes
-        self.cond("mem.same_line_reuse", line_key == self._last_line)
-        self.cond("mem.cross_line_pair",
-                  self._last_line is not None
-                  and abs(line_key - self._last_line) == 1)
+        is_store = mem.is_store
+        base_sp = instr.rs1 == 2
+        line_key = addr // dcache.line_bytes
+        last_line = self._last_line
+        mask |= (
+            pairs["mem.misaligned"][False]
+            | pairs["mem.access_fault"][False]
+            | pairs["mem.is_amo_op"][spec.is_amo]
+            | pairs["mem.reservation_set"][m.startswith("lr.")]
+            | pairs["mem.base_is_sp"][base_sp]
+            | pairs["mem.base_is_gp_tp"][instr.rs1 in (3, 4)]
+            | pairs["mem.frame_access"][base_sp and 0 <= imm < 64]
+            | pairs["mem.neg_offset_store"][is_store and imm < 0]
+            | pairs["mem.same_line_reuse"][line_key == last_line]
+            | pairs["mem.cross_line_pair"][
+                last_line is not None and abs(line_key - last_line) == 1]
+        )
         self._last_line = line_key
 
-        # Line-reuse / conflict FSM tracking.
+        # Line-reuse / conflict FSM tracking.  A line key's set is its low
+        # index bits.
         touches = self._line_touches
-        touches[line_key] = touches.get(line_key, 0) + 1
-        self.cond("mem.line_reuse3", touches[line_key] >= 3)
-        set_idx = self.dcache.set_index(addr)
-        same_set_hot = [
-            key for key, count in touches.items()
-            if count >= 2 and self.dcache.set_index(key * self.dcache.line_bytes) == set_idx
-        ]
-        self.cond("mem.set_thrash",
-                  touches[line_key] >= 2 and len(same_set_hot) >= 2)
-        self.cond("mem.victim_revisit", line_key in self._evicted_lines)
-        self.cond("mem.redirty", is_store and self.dcache.is_dirty(addr))
-        self.cond("mem.coalesce", is_store and addr == self._last_store_addr)
+        count = touches[line_key] = touches.get(line_key, 0) + 1
+        index_mask = dcache._index_mask
+        set_idx = line_key & index_mask
+        mask |= (
+            pairs["mem.line_reuse3"][count >= 3]
+            | pairs["mem.set_thrash"][
+                count >= 2 and sum(
+                    1 for key, n in touches.items()
+                    if n >= 2 and key & index_mask == set_idx) >= 2]
+            | pairs["mem.victim_revisit"][line_key in self._evicted_lines]
+            | pairs["mem.redirty"][is_store and dcache.is_dirty(addr)]
+            | pairs["mem.coalesce"][is_store and addr == self._last_store_addr]
+        )
         if is_store:
             self._last_store_addr = addr
 
         # Spill/reload: sp-relative store slot later loaded back.
-        if instr.rs1 == 2 and not spec.is_amo:
+        if base_sp and not spec.is_amo:
             if is_store:
                 self._sp_slots.add(addr)
-                self.cond("mem.spill_reload", False)
+                mask |= pairs["mem.spill_reload"][False]
             else:
-                self.cond("mem.spill_reload", addr in self._sp_slots)
+                mask |= pairs["mem.spill_reload"][addr in self._sp_slots]
 
         # LR reservation FSM (the SC side is handled above, before the
         # early-return, so failed SCs participate too).
-        m = spec.mnemonic
         if m.startswith("lr."):
-            self.cond("mem.lr_replay", self._resv_addr is not None)
+            mask |= pairs["mem.lr_replay"][self._resv_addr is not None]
             self._resv_addr = addr
             self._resv_broken = False
         elif is_store and not m.startswith("sc.") and addr == self._resv_addr:
@@ -738,39 +761,40 @@ class RocketCore(Module):
 
         # Chained atomics.
         if spec.is_amo and not m.startswith(("lr.", "sc.")):
-            self.cond("mem.amo_chain",
-                      self._amo_rd is not None and self._amo_age <= 4
-                      and self._amo_rd in (instr.rs1, instr.rs2))
+            mask |= pairs["mem.amo_chain"][
+                self._amo_rd is not None and self._amo_age <= 4
+                and self._amo_rd in (instr.rs1, instr.rs2)]
             if result.rd:
                 self._amo_rd = result.rd
                 self._amo_age = 0
         self._amo_age += 1
 
-        line = self.dcache.lookup(addr)
+        line = dcache.lookup(addr)
         if line is not None:
             self._hit_streak += 1
         else:
             self._hit_streak = 0
-        self.cond("mem.hit_streak4", self._hit_streak >= 4)
+        mask |= pairs["mem.hit_streak4"][self._hit_streak >= 4]
         if line is None:
-            self.dcache.refill(addr, memory.read_bytes)
-            if self.dcache.last_evicted is not None:
-                self._evicted_lines.add(self.dcache.last_evicted)
-            extra += self.dcache.miss_penalty
+            dcache.refill(addr, memory.read_bytes)
+            if dcache.last_evicted is not None:
+                self._evicted_lines.add(dcache.last_evicted)
+            extra += dcache.miss_penalty
         self._prev_load_missed = spec.is_load and line is None
-        if result.mem.is_store:
-            data = result.mem.data.to_bytes(result.mem.size, "little")
-            self.dcache.update_stored_line(addr, data)
-            self.cond("mem.storebuf_full",
-                      len(store_buffer) >= self.params.store_buffer_depth)
-            if len(store_buffer) >= self.params.store_buffer_depth:
+        if is_store:
+            dcache.update_stored_line(
+                addr, mem.data.to_bytes(mem.size, "little"))
+            full = len(store_buffer) >= self.params.store_buffer_depth
+            mask |= pairs["mem.storebuf_full"][full]
+            if full:
                 extra += 1
                 store_buffer.pop(0)
             store_buffer.append(addr)
         else:
-            self.cond("mem.storebuf_forward", addr in store_buffer)
+            mask |= pairs["mem.storebuf_forward"][addr in store_buffer]
             if store_buffer:
                 store_buffer.pop(0)
+        self.cov.record_mask(mask)
         return extra
 
     def _trap_conditions(self, cause: int) -> None:
@@ -787,10 +811,12 @@ class RocketCore(Module):
     def _mem_fault_conditions(self, instr, trap: Trap) -> None:
         if instr is None or not instr.spec.is_memory:
             return
-        self.cond("mem.misaligned",
-                  trap.cause in (EXC_LOAD_MISALIGNED, EXC_STORE_MISALIGNED))
-        self.cond("mem.access_fault",
-                  trap.cause in (EXC_LOAD_ACCESS_FAULT, EXC_STORE_ACCESS_FAULT))
+        pairs = self._pairs
+        self.cov.record_mask(
+            pairs["mem.misaligned"][
+                trap.cause in (EXC_LOAD_MISALIGNED, EXC_STORE_MISALIGNED)]
+            | pairs["mem.access_fault"][
+                trap.cause in (EXC_LOAD_ACCESS_FAULT, EXC_STORE_ACCESS_FAULT)])
 
     # ----------------------------------------------------------- Finding1 ----
 

@@ -15,7 +15,7 @@ findings live *here*, in the trace layer, not in the datapath:
 from __future__ import annotations
 
 from repro.golden.executor import ExecResult
-from repro.golden.trace import TraceEntry
+from repro.golden.trace import TraceEntry, trace_entry
 from repro.isa.decoder import DecodedInstr
 from repro.rtl.coverage import ConditionCoverage
 from repro.rtl.module import Module
@@ -49,45 +49,41 @@ class Tracer(Module):
     ) -> TraceEntry:
         """Build the trace record for one retired instruction."""
         spec = instr.spec
-        rd: int | None = result.rd if result.rd not in (None, 0) else None
+        params = self.params
+        pairs = self._pairs
+        rd: int | None = result.rd or None
         rd_value = result.rd_value if rd is not None else 0
 
-        suppress = self.params.bug2_tracer_muldiv and spec.is_muldiv
-        self.cond("suppress_muldiv", suppress)
+        suppress = params.bug2_tracer_muldiv and spec.is_muldiv
         if suppress:
             rd = None
             rd_value = 0
 
         amo_quirk = (
-            self.params.finding2_amo_x0_trace
+            params.finding2_amo_x0_trace
             and spec.is_amo
             and not spec.mnemonic.startswith(("lr.", "sc."))
             and result.rd == 0
         )
-        self.cond("x0_amo_quirk", amo_quirk)
         if amo_quirk:
             rd = 0
             rd_value = result.rd_value
 
         jalr_quirk = (
-            self.params.finding3_x0_trace
+            params.finding3_x0_trace
             and spec.mnemonic == "jalr"
             and instr.rd == 0
             and self._prev_was_load
         )
-        self.cond("x0_jalr_quirk", jalr_quirk)
         if jalr_quirk:
             rd = 0
             rd_value = (pc + 4) & 0xFFFF_FFFF_FFFF_FFFF
 
-        self.cond("emit_rd", rd is not None)
+        self.cov.record_mask(
+            pairs["suppress_muldiv"][bool(suppress)]
+            | pairs["x0_amo_quirk"][bool(amo_quirk)]
+            | pairs["x0_jalr_quirk"][bool(jalr_quirk)]
+            | pairs["emit_rd"][rd is not None])
         self._prev_was_load = spec.is_load
-        return TraceEntry(
-            pc=pc,
-            instr=instr.raw,
-            priv=priv,
-            rd=rd,
-            rd_value=rd_value,
-            mem=result.mem,
-            csr_write=result.csr_write,
-        )
+        return trace_entry(pc, instr.raw, priv, rd, rd_value, result.mem,
+                           None, 0, result.csr_write)

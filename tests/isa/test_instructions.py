@@ -1,5 +1,8 @@
 """Instruction-database sanity: the table must be unambiguous and complete."""
 
+import dataclasses
+import pickle
+
 from repro.isa.instructions import (
     AMOS,
     BRANCHES,
@@ -84,6 +87,27 @@ class TestClassification:
     def test_lr_has_no_rs2(self):
         assert not INSTRUCTIONS["lr.d"].reads_rs2
         assert INSTRUCTIONS["sc.d"].reads_rs2
+
+    def test_derived_flags_follow_format_and_class(self):
+        """The flags computed once per spec equal their definitions."""
+        for spec in INSTRUCTIONS.values():
+            ops = spec.operands
+            assert spec.writes_rd is ("rd" in ops), spec.mnemonic
+            assert spec.reads_rs1 is ("rs1" in ops), spec.mnemonic
+            assert spec.reads_rs2 is ("rs2" in ops), spec.mnemonic
+            assert spec.is_memory is (
+                spec.is_load or spec.is_store or spec.is_amo), spec.mnemonic
+            assert spec.is_control_flow is (
+                spec.is_branch or spec.is_jump), spec.mnemonic
+
+    def test_derived_flags_are_not_fields(self):
+        spec = INSTRUCTIONS["add"]
+        names = {f.name for f in dataclasses.fields(spec)}
+        assert not names & {"writes_rd", "reads_rs1", "reads_rs2",
+                            "is_memory", "is_control_flow"}
+        assert "writes_rd" not in repr(spec)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy.reads_rs2 and copy.writes_rd
 
     def test_fixed_words(self):
         assert INSTRUCTIONS["ecall"].match == 0x0000_0073

@@ -1,17 +1,23 @@
 """DUT harness: program image construction and differential running."""
 
+import dataclasses
+
 import pytest
 
+from repro.fuzzing.mismatch import compare_traces
 from repro.golden.simulator import GoldenSimulator
 from repro.isa.decoder import decode
 from repro.isa.encoder import encode
 from repro.isa.spec import DATA_BASE, DRAM_BASE
+from repro.soc.boom import BoomCore, BoomParams
 from repro.soc.harness import (
     TERMINATOR,
+    DutHarness,
     build_program,
     make_harness,
     preamble_words,
 )
+from repro.soc.rocket import RocketCore, RocketParams
 
 
 class TestBuildProgram:
@@ -118,6 +124,34 @@ class TestDifferentialRun:
                 muldiv_arm = 2 * i + 1  # true arm
         assert muldiv_arm in first.hits
         assert muldiv_arm not in second.hits
+
+
+class TestStepBudget:
+    """The golden model stops at the DUT core's own ``max_steps``."""
+
+    LOOP = [encode("addi", rd=5, rs1=5, imm=1), encode("jal", rd=0, imm=-4)]
+
+    def test_golden_follows_core_max_steps(self):
+        params = dataclasses.replace(RocketParams.clean(), max_steps=64)
+        harness = DutHarness(RocketCore(params))
+        dut, gold, _ = harness.run_differential(self.LOOP)
+        assert dut.stop_reason == gold.stop_reason == "max_steps"
+        assert len(dut) == len(gold) == 64
+        assert compare_traces(dut, gold) == []
+
+    def test_golden_lanes_follow_core_max_steps(self):
+        params = dataclasses.replace(RocketParams.clean(), max_steps=64)
+        harness = DutHarness(RocketCore(params), golden_lanes=4)
+        traces = harness.run_golden_batch([self.LOOP] * 4)
+        assert [len(t) for t in traces] == [64] * 4
+
+    def test_disagreeing_max_steps_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            DutHarness(RocketCore(RocketParams()), max_steps=64)
+
+    def test_matching_explicit_max_steps_accepted(self):
+        harness = DutHarness(BoomCore(BoomParams(max_steps=32)), max_steps=32)
+        assert harness.max_steps == 32
 
 
 class TestBatchedLanes:
